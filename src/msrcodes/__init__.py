@@ -3,11 +3,11 @@
 Library layout:
 
   field          GF(p) arithmetic (scalar elements and int64 array kernels)
-  mixedradix     (a, b) symbol coordinates, digit expansion, cyclic shifts
+  mixedradix     (a, b) symbol coordinates; the only digit arithmetic (digits, shifts)
   grs            Vandermonde-parity GRS words: syndromes, encode, erasure decode
   hamming        Ham(2, w) coset partition used by the Hadamard repair scheme
   constructions  the code families (C1..C4, Hadamard): build, encode, reconstruct
-  repair         repair plans, helper aggregation, centralized repair
+  repair         repair plans (one orbit builder), helper aggregation, center repair
   audit          cut-set bounds, transcript verification, sub-packetization table
   storage        file-backed cluster simulator with download accounting
   cli            command-line entry point (`msrcodes`)

@@ -84,9 +84,6 @@ class CodeSpec:
                 return idx, info
         raise ParameterError(f"pattern (h={h}, d={d}) not supported by this spec")
 
-    def supported_patterns(self) -> tuple:
-        return self.patterns
-
 
 def _lcm(values: Sequence[int]) -> int:
     return math.lcm(*values) if values else 1
@@ -261,8 +258,9 @@ class Codeword:
 @lru_cache(maxsize=32)
 def _digit_matrix(s_m: int, n: int) -> np.ndarray:
     """digits[j-1, a] = j-th digit of a, for all a in [0, s_m^n)."""
-    a = np.arange(s_m**n, dtype=np.int64)
-    return np.stack([(a // s_m ** (j - 1)) % s_m for j in range(1, n + 1)])
+    coords = CoordinateSystem(s_m, n, 1)
+    a = np.arange(coords.a_count, dtype=np.int64)
+    return np.stack([coords.digit(a, j) for j in range(1, n + 1)])
 
 
 def node_point_matrix(spec: CodeSpec) -> np.ndarray:

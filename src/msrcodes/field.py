@@ -144,18 +144,3 @@ class FieldElement:
     def __int__(self):
         return self.value
 
-
-def add(x: FieldElement, y: FieldElement) -> FieldElement:
-    return x + y
-
-
-def mul(x: FieldElement, y: FieldElement) -> FieldElement:
-    return x * y
-
-
-def inv(x: FieldElement) -> FieldElement:
-    return x.inverse()
-
-
-def power(x: FieldElement, e: int) -> FieldElement:
-    return x**e

@@ -53,17 +53,19 @@ class GrsWord:
         return [i for i, v in enumerate(self.values) if v is ERASED]
 
 
+def _known_rhs(word: GrsWord, positions, r: int) -> np.ndarray:
+    """syndrome_rhs over the word's entries at the given positions: shape (r,)."""
+    pts = np.array([[word.points[i] for i in positions]], dtype=np.int64)
+    vals = np.array([[word.values[i] for i in positions]], dtype=np.int64)
+    return syndrome_rhs(word.field, pts, vals, r)[0]
+
+
 def syndromes(word: GrsWord) -> list:
     """The r parity sums; requires a fully known word."""
     if word.erasure_count():
         raise ParameterError("cannot compute syndromes with erased entries")
-    p = word.field.p
-    out = []
-    powers = [1] * len(word.points)
-    for _ in range(word.r):
-        out.append(sum(pw * v for pw, v in zip(powers, word.values)) % p)
-        powers = [(pw * x) % p for pw, x in zip(powers, word.points)]
-    return out
+    rhs = _known_rhs(word, range(len(word.values)), word.r)
+    return ((-rhs) % word.field.p).tolist()
 
 
 def erasure_decode(word: GrsWord) -> GrsWord:
@@ -73,19 +75,11 @@ def erasure_decode(word: GrsWord) -> GrsWord:
     remaining checks are verified and a nonzero residual signals corruption.
     """
     e = word.erasure_count()
-    p = word.field.p
     if e:
         erased = word.erased_positions()
-        known = [i for i in range(len(word.values)) if word.values[i] is not ERASED]
+        known = [i for i, v in enumerate(word.values) if v is not ERASED]
         pts = np.array([[word.points[i] for i in erased]], dtype=np.int64)
-        # rhs_t = -sum over known entries of x^t * value
-        rhs = np.zeros((1, e), dtype=np.int64)
-        for t in range(e):
-            acc = 0
-            for i in known:
-                acc += pow(word.points[i], t, p) * word.values[i]
-            rhs[0, t] = (-acc) % p
-        x = solve_vandermonde(word.field, pts, rhs)[0]
+        x = solve_vandermonde(word.field, pts, _known_rhs(word, known, e)[None])[0]
         filled = list(word.values)
         for pos, val in zip(erased, x.tolist()):
             filled[pos] = int(val)

@@ -5,6 +5,10 @@ tau = b * base^ndigits + a, where a has a base-ary digit expansion
 a = sum_i a_i * base^(i-1) with 1-based digit positions (least significant
 digit first).  Digit positions are 1-based throughout so index expressions
 stay transcribable.
+
+This module is the one home of the digit arithmetic: the encoder's point
+table and every repair-group builder go through CoordinateSystem.digit and
+CoordinateSystem.shift_digits.
 """
 
 from __future__ import annotations
@@ -94,18 +98,18 @@ class CoordinateSystem:
                     raise ParameterError("digit value out of range")
             elif not (0 <= v < self.base):
                 raise ParameterError(f"digit value {v} out of range")
-            w = self.base ** (pos - 1)
-            out = out + (v - (out // w) % self.base) * w
+            out = out + (v - self.digit(out, pos)) * self.base ** (pos - 1)
         return out
 
     def shift_digits(self, a, positions: Sequence[int], v: int):
         """Add v cyclically (mod base) to every digit of a at the given positions."""
-        cur = [ (a // self.base ** (p - 1)) % self.base for p in positions ]
-        new = [ (c + v) % self.base for c in cur ]
-        return self.substitute(a, positions, new)
-
-    def cyc_add(self, x: int, y: int) -> int:
-        return cyc_add(x, y, self.base)
+        if len(set(positions)) != len(positions):
+            raise ParameterError("duplicate positions")
+        out = a
+        for pos in positions:
+            dig = self.digit(a, pos)
+            out = out + ((dig + v) % self.base - dig) * self.base ** (pos - 1)
+        return out
 
     # -- (a, b) packing ----------------------------------------------------
 

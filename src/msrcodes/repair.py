@@ -16,6 +16,16 @@ Families with more than one member set (C3, C4, Hadamard) run a second,
 download-free step: each remaining coordinate of a failed node equals its
 recovered group sum minus symbols already known from step 1.
 
+One builder makes every family: a group is the orbit of a base plane under
+cyclic shifts of its digits at the member positions P, the v-th shifted plane
+placed in block b_table[u, v].  Schemes differ only in that data:
+
+  pinned    largest-s C1/C2 pattern; base planes have digit 0 at min(H),
+            b_table[b, v] = b
+  block     C3/C4 and the other C1/C2 patterns; every plane is a base plane,
+            b_table[mu, v] = mu * w_i + Omega_i[v]
+  Hadamard  base planes from the Hamming coset V_0; b_table = [[0, 0]]
+
 Group ordering is deterministic: families in partition order, groups by
 (block, a) within a family, so helper payloads need no per-symbol labels.
 """
@@ -28,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import audit
-from .constructions import CodeSpec, Family, PatternInfo
+from .constructions import CodeSpec, Family
 from .errors import ParameterError
 from .grs import solve_vandermonde, syndrome_rhs
 from .hamming import build_partition
@@ -49,7 +59,6 @@ class GroupFamily:
     erased_slots: np.ndarray  # slot indices of the r erasures (ascending)
     member_ranks: dict        # (node, w) -> column of the solve output
     failed_sum_ranks: dict    # failed node outside P -> column of the solve output
-    meta: dict = dc_field(default_factory=dict)
 
     @property
     def group_count(self) -> int:
@@ -149,24 +158,13 @@ class RepairTranscript:
 
 
 # ---------------------------------------------------------------------------
-# family builders
+# family builder
 # ---------------------------------------------------------------------------
 
-def _shift(spec: CodeSpec, a: np.ndarray, positions: Sequence[int], v: int) -> np.ndarray:
-    """Add v (mod s_m) to the digits of a at the given 1-based positions."""
-    s_m = spec.s_m
-    out = a
-    for pos in positions:
-        w = s_m ** (pos - 1)
-        dig = (out // w) % s_m
-        out = out + (((dig + v) % s_m) - dig) * w
-    return out
-
-
 def _make_family(spec: CodeSpec, index: int, members: tuple, failed: tuple,
-                 helpers: tuple, agg_tau: np.ndarray, meta: dict) -> GroupFamily:
+                 helpers: tuple, agg_tau: np.ndarray) -> GroupFamily:
     n, r, d = spec.n, spec.r, len(helpers)
-    A = spec.s_m**spec.n
+    coords = spec.coords
     lam = spec.lam_array()
     G, W = agg_tau.shape
     others = tuple(j for j in range(1, n + 1) if j not in members)
@@ -175,16 +173,12 @@ def _make_family(spec: CodeSpec, index: int, members: tuple, failed: tuple,
         raise ParameterError("group shape incompatible with pattern (internal)")
 
     points = np.empty((G, L), dtype=np.int64)
-    agg_a = agg_tau % A
+    agg_a = agg_tau % coords.a_count
     for mi, j in enumerate(members):
-        w_pow = spec.s_m ** (j - 1)
         for w in range(W):
-            dig = (agg_a[:, w] // w_pow) % spec.s_m
-            points[:, mi * W + w] = lam[j - 1, dig]
-    base_a = agg_a[:, 0]
+            points[:, mi * W + w] = lam[j - 1, coords.digit(agg_a[:, w], j)]
     for oi, j in enumerate(others):
-        dig = (base_a // spec.s_m ** (j - 1)) % spec.s_m
-        points[:, len(members) * W + oi] = lam[j - 1, dig]
+        points[:, len(members) * W + oi] = lam[j - 1, coords.digit(agg_a[:, 0], j)]
     # d + r distinct points per group (spec structural invariant)
     srt = np.sort(points, axis=1)
     if np.any(srt[:, 1:] == srt[:, :-1]):
@@ -206,88 +200,23 @@ def _make_family(spec: CodeSpec, index: int, members: tuple, failed: tuple,
                        known_slots=np.array(known, dtype=np.int64),
                        erased_slots=np.array(erased, dtype=np.int64),
                        member_ranks=member_ranks,
-                       failed_sum_ranks=failed_sum_ranks, meta=meta)
+                       failed_sum_ranks=failed_sum_ranks)
 
 
-def _pinned_families(spec, H, R, info: PatternInfo):
-    """Largest-s pattern of C1/C2: orbit representatives pin min(H)'s digit to 0."""
-    A, s_m, s = spec.s_m**spec.n, spec.s_m, spec.s
-    a_all = np.arange(A, dtype=np.int64)
-    e0 = min(H)
-    reps = a_all[(a_all // s_m ** (e0 - 1)) % s_m == 0]
-    G0 = reps.shape[0]
-    shifted = np.stack([_shift(spec, reps, H, v) for v in range(s_m)], axis=1)  # (G0, s_m)
-    agg = np.empty((s * G0, s_m), dtype=np.int64)
-    for b in range(s):
-        agg[b * G0:(b + 1) * G0] = b * A + shifted
-    fam = _make_family(spec, 1, tuple(H), tuple(H), R, agg,
-                       {"scheme": "pinned", "pinned_node": e0})
-    return [fam], {"scheme": "pinned"}
+def _orbit_family(spec: CodeSpec, index: int, P: tuple, H: tuple, R: tuple,
+                  a_base: np.ndarray, b_table: np.ndarray) -> GroupFamily:
+    """The family whose groups are digit-shift orbits of the planes a_base.
 
+    Group u*G + g collects, for v in [W), plane a_base[g] with v added
+    cyclically to its digits at the positions P, in block b_table[u, v]:
 
-def _mu_families(spec, H, R, info: PatternInfo):
-    """Non-largest pattern of C1/C2: digit shifts ride along b inside s_i-blocks."""
-    A, s_m = spec.s_m**spec.n, spec.s_m
-    si = info.s
-    u = spec.s // si
-    a_all = np.arange(A, dtype=np.int64)
-    shifted = np.stack([_shift(spec, a_all, H, v) for v in range(si)], axis=1)  # (A, si)
-    agg = np.empty((u * A, si), dtype=np.int64)
-    for mu in range(u):
-        for v in range(si):
-            agg[mu * A:(mu + 1) * A, v] = (mu * si + v) * A + shifted[:, v]
-    fam = _make_family(spec, 1, tuple(H), tuple(H), R, agg, {"scheme": "mu", "u": u})
-    return [fam], {"scheme": "mu", "u": u}
-
-
-def _block_families(spec, H, R, info: PatternInfo, partition):
-    """C3/C4: per group set P_i, s_i-1 aligned planes plus one offset plane.
-
-    Within each b-block of width (d-k+h)/delta the local plane set for P_i is
-    Omega_i = {0..s_i-2, s_i-2+i}; digit shifts are cyclic mod s_m.
+        agg_tau[u*G + g, v] = b_table[u, v] * A + shift_P(a_base[g], v)
     """
-    A = spec.s_m**spec.n
-    si, wi = info.s, info.width
-    u = spec.s // wi
-    a_all = np.arange(A, dtype=np.int64)
-    fams = []
-    omega = {}
-    for gi, P in enumerate(partition, start=1):
-        locals_b = list(range(si - 1)) + [si - 2 + gi]
-        omega[gi] = tuple(locals_b)
-        shifted = np.stack([_shift(spec, a_all, P, v) for v in range(si)], axis=1)
-        agg = np.empty((u * A, si), dtype=np.int64)
-        for mu in range(u):
-            base = mu * wi
-            for v in range(si):
-                agg[mu * A:(mu + 1) * A, v] = (base + locals_b[v]) * A + shifted[:, v]
-        fams.append(_make_family(spec, gi, P, tuple(H), R, agg,
-                                 {"omega": tuple(locals_b), "blocks": u}))
-    blocks = [(mu * wi, (mu + 1) * wi - 1) for mu in range(u)]
-    return fams, {"omega": omega, "blocks": blocks, "u": u}
-
-
-def _hadamard_families(spec, H, R, partition):
-    """Hadamard scheme: groups are plane pairs indexed by the Hamming coset V_0.
-
-    M holds one representative position per P_i (its maximum); a group pairs a
-    plane whose a|_M lies in V_0 with its all-bits-of-P_i flip, which lies in
-    V_i.
-    """
-    A = spec.s_m**spec.n  # = 2^n, s = 1
-    part = build_partition(spec.had_w)
-    M = tuple(max(P) for P in partition)
-    a_all = np.arange(A, dtype=np.int64)
-    y = np.zeros(A, dtype=np.int64)
-    for gi, pos in enumerate(M):
-        y |= ((a_all >> (pos - 1)) & 1) << gi
-    v0_mask = part.class_table()[y] == 0
-    base = a_all[v0_mask]
-    fams = []
-    for gi, P in enumerate(partition, start=1):
-        agg = np.stack([base, _shift(spec, base, P, 1)], axis=1)
-        fams.append(_make_family(spec, gi, P, tuple(H), R, agg, {"coset": gi}))
-    return fams, {"M": M, "w": spec.had_w, "N": spec.had_N, "partition": part}
+    coords = spec.coords
+    W = b_table.shape[1]
+    shifted = np.stack([coords.shift_digits(a_base, P, v) for v in range(W)], axis=1)
+    agg_tau = (b_table[:, None, :] * coords.a_count + shifted[None]).reshape(-1, W)
+    return _make_family(spec, index, P, H, R, agg_tau)
 
 
 # ---------------------------------------------------------------------------
@@ -311,21 +240,41 @@ def plan(spec: CodeSpec, failed: Sequence[int], helpers: Sequence[int],
     if len(R) != d:
         raise ParameterError(f"pattern expects d={d} helpers, got {len(R)}")
     idx, info = spec.pattern_info(h, d)
+    if h % info.delta:
+        raise ParameterError("failed set not partitionable (internal)")
+    partition = tuple(H[i:i + info.delta] for i in range(0, h, info.delta))
 
-    if spec.family in (Family.C1, Family.C2):
-        partition = (H,)
-        if idx == len(spec.sorted_patterns) - 1:
-            fams, extras = _pinned_families(spec, H, R, info)
-        else:
-            fams, extras = _mu_families(spec, H, R, info)
-    elif spec.family in (Family.C3, Family.C4):
-        if h % info.delta:
-            raise ParameterError("failed set not partitionable (internal)")
-        partition = tuple(H[i:i + info.delta] for i in range(0, h, info.delta))
-        fams, extras = _block_families(spec, H, R, info, partition)
+    coords = spec.coords
+    a_all = np.arange(coords.a_count, dtype=np.int64)
+    if spec.family is Family.HADAMARD:
+        # plane pairs {a, a + 1_{P_i}} with a|_M in the Hamming coset V_0, where
+        # M holds one representative position (the maximum) per P_i
+        part = build_partition(spec.had_w)
+        M = tuple(max(P) for P in partition)
+        y = sum(coords.digit(a_all, pos) << gi for gi, pos in enumerate(M))
+        a_base = a_all[part.class_table()[y] == 0]
+        b_tables = [np.zeros((1, 2), dtype=np.int64)] * len(partition)
+        extras = {"M": M, "w": spec.had_w, "N": spec.had_N, "partition": part}
+    elif (spec.family in (Family.C1, Family.C2)
+          and idx == len(spec.sorted_patterns) - 1):
+        # largest-s pattern of C1/C2: full s_m-orbits whose representative has
+        # digit 0 at min(H), repeated in every block b
+        a_base = a_all[coords.digit(a_all, H[0]) == 0]
+        b_tables = [np.repeat(np.arange(spec.s)[:, None], spec.s_m, axis=1)]
+        extras = {}
     else:
-        partition = tuple(H[i:i + info.delta] for i in range(0, h, info.delta))
-        fams, extras = _hadamard_families(spec, H, R, partition)
+        # C3/C4 and the other C1/C2 patterns: within each b-block of width w_i
+        # the planes of P_i are Omega_i = {0..s_i-2, s_i-2+i}
+        si, wi = info.s, info.width
+        u = spec.s // wi
+        omega = {i: tuple(range(si - 1)) + (si - 2 + i,)
+                 for i in range(1, len(partition) + 1)}
+        a_base = a_all
+        b_tables = [np.arange(u)[:, None] * wi + np.array(omega[i]) for i in omega]
+        extras = {"omega": omega, "blocks": [(mu * wi, (mu + 1) * wi - 1) for mu in range(u)],
+                  "u": u}
+    fams = [_orbit_family(spec, i, P, H, R, a_base, b_tables[i - 1])
+            for i, P in enumerate(partition, start=1)]
 
     per_helper = sum(f.group_count for f in fams)
     beta, gamma = audit.cut_set(h, d, spec.k, spec.ell)

@@ -73,14 +73,19 @@ def _atomic_write(path: Path, payload: bytes):
     os.replace(tmp, path)
 
 
-def write_shard(path: Path, spec: CodeSpec, node: int, elements: np.ndarray) -> str:
-    """Write one node's elements; returns the file's SHA-256 hex digest."""
+def _shard_blob(spec: CodeSpec, node: int, elements: np.ndarray) -> bytes:
+    """The exact bytes of node's shard file."""
     flat = np.ascontiguousarray(elements, dtype=np.int64).ravel()
     if np.any((flat < 0) | (flat >= spec.field.p)):
         raise ParameterError("element outside [0, p)")
     header = HEADER.pack(MAGIC, VERSION, node, spec.n, spec.k,
                          FAMILY_TAGS[spec.family], flat.size, spec.field.p)
-    blob = header + flat.astype("<u8").tobytes()
+    return header + flat.astype("<u8").tobytes()
+
+
+def write_shard(path: Path, spec: CodeSpec, node: int, elements: np.ndarray) -> str:
+    """Write one node's elements; returns the file's SHA-256 hex digest."""
+    blob = _shard_blob(spec, node, elements)
     _atomic_write(path, blob)
     return hashlib.sha256(blob).hexdigest()
 
@@ -249,8 +254,9 @@ def run_repair(state: ClusterState, failed: Sequence[int], helpers: Sequence[int
                pattern) -> tuple:
     """Centralized repair: returns (state, transcript).
 
-    The returned transcript carries the download accounting; restored shards
-    are verified bit-identical to the pre-failure files via manifest digests.
+    The returned transcript carries the download accounting.  Every restored
+    shard is checked against its pre-failure manifest digest in memory before
+    any shard is written, so a mismatch leaves the failed nodes untouched.
     """
     failed = sorted(int(j) for j in failed)
     helpers = sorted(int(j) for j in helpers)
@@ -290,17 +296,19 @@ def run_repair(state: ClusterState, failed: Sequence[int], helpers: Sequence[int
     if any(p.endswith(".shard") for p in center_log.by_path):
         raise CorruptionError("data center touched a shard file directly")
 
+    # verify every restored shard in memory before any of them reaches disk
     for i, j in enumerate(failed):
-        path = state.shard_path(j)
-        digest = write_shard(path, spec, j, restored[i])
+        digest = hashlib.sha256(_shard_blob(spec, j, restored[i])).hexdigest()
         if digest != state.manifest["shards"][str(j)]["digest"]:
             raise CorruptionError(f"restored shard for node {j} does not match "
                                   "its pre-failure digest")
+    for i, j in enumerate(failed):
+        write_shard(state.shard_path(j), spec, j, restored[i])
         state.manifest["statuses"][str(j)] = ALIVE
     state.manifest.setdefault("repairs", []).append(transcript.to_json())
     state.save()
-    state.access_log.by_category.setdefault("download", 0)
-    state.access_log.by_category["download"] += downloaded
+    for path, nbytes in center_log.by_path.items():
+        state.access_log.record(path, nbytes, "download")
     return state, transcript
 
 

@@ -27,6 +27,21 @@ def test_syndromes_examples():
     assert syndromes(GrsWord(f7, (1, 2), [1, 1], r=1)) == [2]
 
 
+def test_syndromes_match_scalar_sums():
+    """The batched syndromes equal the plain sum over x^t * v, up to p = 2^31 - 1."""
+    rng = np.random.default_rng(5)
+    for p in (7, 257, 2**31 - 1):
+        f = PrimeField(p)
+        for _ in range(50):
+            n = int(rng.integers(1, 7))
+            r = int(rng.integers(0, n + 1))
+            points = (rng.choice(p - 1, size=n, replace=False) + 1).tolist()
+            values = rng.integers(0, p, size=n).tolist()
+            expect = [sum(pow(x, t, p) * v for x, v in zip(points, values)) % p
+                      for t in range(r)]
+            assert syndromes(GrsWord(f, points, values, r)) == expect
+
+
 def test_syndromes_rejects_erasures():
     f7 = PrimeField(7)
     with pytest.raises(ParameterError):

@@ -7,7 +7,8 @@ import pytest
 
 from msrcodes import storage
 from msrcodes.constructions import build
-from msrcodes.errors import DataLossError, ParameterError, ScenarioError
+from msrcodes import repair as repair_mod
+from msrcodes.errors import CorruptionError, DataLossError, ParameterError, ScenarioError
 from msrcodes.storage import (ELEMENT_SIZE, HEADER_SIZE, extract, fail_nodes,
                               ingest, load_cluster, run_repair, run_scenario)
 
@@ -98,7 +99,28 @@ def test_repair_roundtrip_and_ledger(tmp_path):
     assert state.failed_nodes() == []
     # ledger: downloaded bytes == transcript count * element size
     assert state.access_log.total("download") == t.total * ELEMENT_SIZE
+    assert state.access_log.total() == (state.access_log.total("shard")
+                                        + state.access_log.total("download"))
     assert extract(state) == payload
+
+
+def test_repair_verifies_every_shard_before_writing(tmp_path, monkeypatch):
+    state = ingest(bytes(range(200)), c3_spec(), tmp_path / "c")
+    fail_nodes(state, [1, 2])
+    real = repair_mod.repair_columns
+
+    def corrupt_last_node(plan_, matrix):
+        restored = real(plan_, matrix)
+        restored[-1, 0, 0] = (restored[-1, 0, 0] + 1) % plan_.spec.field.p
+        return restored
+
+    monkeypatch.setattr(repair_mod, "repair_columns", corrupt_last_node)
+    with pytest.raises(CorruptionError):
+        run_repair(state, [1, 2], [3, 4, 5, 6], (2, 4))
+    on_disk = load_cluster(tmp_path / "c")
+    for j in (1, 2):
+        assert not state.shard_path(j).exists()
+        assert state.status(j) == "FAILED" and on_disk.status(j) == "FAILED"
 
 
 def test_repair_empty_set_is_noop(tmp_path):
