@@ -303,8 +303,7 @@ def _payload_matrix(plan_: RepairPlan, payloads) -> np.ndarray:
     """Stack payloads as (d, B, per_helper) in helper order."""
     by_node = {}
     for pl in payloads:
-        node, values = (pl.helper, pl.values) if isinstance(pl, HelperPayload) else pl
-        by_node[int(node)] = np.asarray(values, dtype=np.int64)
+        by_node[int(pl.helper)] = np.asarray(pl.values, dtype=np.int64)
     if set(by_node) != set(plan_.helpers):
         raise ParameterError("payloads do not match the helper set")
     rows = []
@@ -367,7 +366,7 @@ def build_transcript(plan_: RepairPlan, blocks: int = 1,
     )
 
 
-def center_repair(plan_: RepairPlan, payloads, record_downloads: bool = True):
+def center_repair(plan_: RepairPlan, payloads):
     """Restore the failed columns from helper payloads.
 
     payloads: HelperPayload per helper (values of shape (per_helper,) or
@@ -375,18 +374,14 @@ def center_repair(plan_: RepairPlan, payloads, record_downloads: bool = True):
     RepairTranscript); columns are (ell,) when payloads were 1-D.
     """
     matrix = _payload_matrix(plan_, payloads)
-    squeeze = matrix.shape[1] == 1 and all(
-        (pl.values if isinstance(pl, HelperPayload) else pl[1]).ndim == 1
-        for pl in payloads)
+    squeeze = all(pl.values.ndim == 1 for pl in payloads)
     restored = repair_columns(plan_, matrix)
     B = matrix.shape[1]
     out = {}
     for i, node in enumerate(plan_.failed):
         out[node] = restored[i, 0] if squeeze else restored[i]
-    downloads = None
-    if record_downloads:
-        downloads = {j: matrix[i, 0] if squeeze else matrix[i]
-                     for i, j in enumerate(plan_.helpers)}
+    downloads = {j: matrix[i, 0] if squeeze else matrix[i]
+                 for i, j in enumerate(plan_.helpers)}
     return out, build_transcript(plan_, blocks=B, downloads=downloads)
 
 

@@ -13,10 +13,11 @@ Shard file layout (little-endian, all offsets fixed):
     elements           u64 each, value < p
 
 Elements are stored block-major: element index b*ell + tau holds symbol tau of
-block b.  During repair each helper computes its per-group sums from its own
-shard (element-granular reads, tracked as local I/O) and writes them to a
-transfer file; the data center reads *only* those transfer files, through an
-access log, so downloaded bytes are exactly transcript count x 8.
+block b.  During repair each helper reads its whole shard once, checked
+against the manifest digest (logged as local I/O), and writes the plan's
+per-group sums from repair.helper_aggregate to a transfer file; the data
+center reads *only* those transfer files, through an access log, so
+downloaded bytes are exactly transcript count x 8.
 """
 
 from __future__ import annotations
@@ -91,11 +92,17 @@ def write_shard(path: Path, spec: CodeSpec, node: int, elements: np.ndarray) -> 
 
 
 def read_shard(path: Path, log: Optional[AccessLog] = None,
-               category: str = "shard") -> tuple:
-    """(node, element array); validates magic/version/prime."""
+               category: str = "shard", digest: Optional[str] = None) -> tuple:
+    """(node, element array); validates magic/version/prime.
+
+    When digest is given (the manifest's SHA-256 of the file) it is checked
+    first, so any damaged, truncated or misplaced shard is rejected by path.
+    """
     blob = Path(path).read_bytes()
     if log is not None:
         log.record(path, len(blob), category)
+    if digest is not None and hashlib.sha256(blob).hexdigest() != digest:
+        raise CorruptionError(f"{path}: shard digest does not match the manifest")
     magic, version, node, n, k, tag, count, p = HEADER.unpack(blob[:HEADER_SIZE])
     if magic != MAGIC or version != VERSION:
         raise CorruptionError(f"{path}: bad shard magic/version")
@@ -109,18 +116,8 @@ def read_shard(path: Path, log: Optional[AccessLog] = None,
 
 def read_elements(path: Path, indices: np.ndarray, log: Optional[AccessLog] = None,
                   category: str = "shard") -> np.ndarray:
-    """Element-granular random access (one pread per element)."""
-    out = np.empty(len(indices), dtype=np.int64)
-    fd = os.open(str(path), os.O_RDONLY)
-    try:
-        for i, idx in enumerate(indices):
-            raw = os.pread(fd, ELEMENT_SIZE, HEADER_SIZE + int(idx) * ELEMENT_SIZE)
-            out[i] = int.from_bytes(raw, "little")
-    finally:
-        os.close(fd)
-    if log is not None:
-        log.record(path, len(indices) * ELEMENT_SIZE, category)
-    return out
+    """The elements at the given indices, gathered from one whole-shard read."""
+    return read_shard(path, log=log, category=category)[1][np.asarray(indices)]
 
 
 @dataclass
@@ -136,6 +133,9 @@ class ClusterState:
 
     def shard_path(self, node: int) -> Path:
         return self.root / "shards" / f"node_{node:02d}.shard"
+
+    def shard_digest(self, node: int) -> str:
+        return self.manifest["shards"][str(node)]["digest"]
 
     def status(self, node: int) -> str:
         return self.manifest["statuses"][str(node)]
@@ -187,17 +187,17 @@ def ingest(payload: Optional[bytes], spec: CodeSpec, root,
         mode, padding, payload_len = "symbols", 0, nblocks * block_syms
 
     encoded = encode_blocks(spec, data)  # (B, n, ell)
+    state = ClusterState(root=root, spec=spec, manifest={})
     shards = {}
     for j in range(1, spec.n + 1):
-        path = root / "shards" / f"node_{j:02d}.shard"
+        path = state.shard_path(j)
         shards[str(j)] = {"path": str(path.relative_to(root)),
                           "digest": write_shard(path, spec, j, encoded[:, j - 1, :])}
-    manifest = manifest_dict(
+    state.manifest = manifest_dict(
         spec, digest=digest, padding=padding, blocks=nblocks, mode=mode,
         seed=seed, payload_len=payload_len, element_size=ELEMENT_SIZE,
         shards=shards,
         statuses={str(j): ALIVE for j in range(1, spec.n + 1)})
-    state = ClusterState(root=root, spec=spec, manifest=manifest)
     state.save()
     return state
 
@@ -227,26 +227,14 @@ def fail_nodes(state: ClusterState, nodes: Sequence[int]) -> ClusterState:
 
 
 def _helper_transfer(state: ClusterState, plan_, helper: int) -> Path:
-    """Helper-side routine: aggregate own shard elements, write transfer file.
-
-    Element-granular shard reads, logged as local I/O ("shard" category);
-    the values written are exactly the plan's per-group sums, block-major.
-    """
-    spec = state.spec
-    B = state.blocks
-    out = np.zeros((B, plan_.per_helper), dtype=np.int64)
-    path = state.shard_path(helper)
-    col_off = 0
-    for fam in plan_.families:
-        flat_tau = fam.agg_tau.ravel()
-        G, W = fam.agg_tau.shape
-        for b in range(B):
-            vals = read_elements(path, b * spec.ell + flat_tau,
-                                 log=state.access_log, category="shard")
-            out[b, col_off:col_off + G] = vals.reshape(G, W).sum(axis=1) % spec.field.p
-        col_off += G
+    """Helper-side routine: one verified whole-shard read, logged as local I/O
+    ("shard" category), then the plan's payload written to a transfer file."""
+    _, elements = read_shard(state.shard_path(helper), log=state.access_log,
+                             digest=state.shard_digest(helper))
+    payload = repair_mod.helper_aggregate(
+        plan_, helper, elements.reshape(state.blocks, state.spec.ell))
     tpath = state.root / "transfer" / f"helper_{helper:02d}.payload"
-    _atomic_write(tpath, out.astype("<u8").tobytes())
+    _atomic_write(tpath, payload.values.astype("<u8").tobytes())
     return tpath
 
 
@@ -299,7 +287,7 @@ def run_repair(state: ClusterState, failed: Sequence[int], helpers: Sequence[int
     # verify every restored shard in memory before any of them reaches disk
     for i, j in enumerate(failed):
         digest = hashlib.sha256(_shard_blob(spec, j, restored[i])).hexdigest()
-        if digest != state.manifest["shards"][str(j)]["digest"]:
+        if digest != state.shard_digest(j):
             raise CorruptionError(f"restored shard for node {j} does not match "
                                   "its pre-failure digest")
     for i, j in enumerate(failed):
@@ -313,14 +301,15 @@ def run_repair(state: ClusterState, failed: Sequence[int], helpers: Sequence[int
 
 
 def extract(state: ClusterState) -> bytes:
-    """Decode the original payload from any k alive shards and verify its digest."""
+    """Decode the original payload from the first k alive shards, each checked
+    against its manifest digest, and verify the payload digest."""
     spec = state.spec
     alive = state.alive_nodes()
     if len(alive) < spec.k:
         raise DataLossError(f"only {len(alive)} alive nodes, need {spec.k}")
     use = alive[:spec.k]
-    cols = np.stack([read_shard(state.shard_path(j))[1].reshape(state.blocks, spec.ell)
-                     for j in use], axis=1)  # (B, k, ell)
+    cols = np.stack([read_shard(state.shard_path(j), digest=state.shard_digest(j))[1]
+                     .reshape(state.blocks, spec.ell) for j in use], axis=1)  # (B, k, ell)
     full = complete_columns(spec, use, cols)
     data = full[:, :spec.k, :]  # systematic nodes 1..k
     if state.manifest["mode"] == "bytes":

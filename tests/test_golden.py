@@ -1,9 +1,11 @@
-"""Golden layouts: repair-group coordinates, evaluation points and shard bytes.
+"""Golden layouts: repair-group coordinates, evaluation points, shard bytes
+and helper transfer payloads.
 
-Each digest pins the exact bytes a plan or an ingest produces, so any
-rewrite of the family builders, the digit arithmetic or the encoder must
-reproduce them bit for bit.  One plan per repair scheme: the pinned and the
-non-largest C1/C2 patterns, C3, C4 at h = 1, 2, 3, and Hadamard.
+Each digest pins the exact bytes a plan, an ingest or a cluster repair
+produces, so any rewrite of the family builders, the digit arithmetic, the
+encoder or the helper aggregation must reproduce them bit for bit.  One plan
+per repair scheme: the pinned and the non-largest C1/C2 patterns, C3, C4 at
+h = 1, 2, 3, and Hadamard.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ import pytest
 
 from msrcodes.constructions import build
 from msrcodes.repair import plan
-from msrcodes.storage import ingest
+from msrcodes.storage import fail_nodes, ingest, run_repair
 
 C4_PATTERNS = [(1, 3), (2, 4), (3, 3)]
 
@@ -66,6 +68,26 @@ GOLDEN_C4_BYTE_SHARDS = {  # c4(6,2,C4_PATTERNS), p = 257, 3000 seeded bytes
     "6": "8723d255387d15de8a4dbcef0eb85d4ea7b0644b4991497afdd6f505edcff648",
 }
 
+# name -> (spec args, seeded byte count (0: seeded symbols), seed, blocks,
+#          failed, helpers, pattern, helper -> SHA-256 of transfer/helper_XX.payload)
+GOLDEN_TRANSFERS = {
+    "c3": (("c3", 6, 2, [(2, 4)]), 0, 7, 2, [1, 2], [3, 4, 5, 6], (2, 4), {
+        3: "55911da9e2dd6cf62998e86b752ef26894e4dfc5c8e9949d794a68e6d1af42a9",
+        4: "831f70bc65d963ce2ae72e765b13f9fbabd325772a9485dd99b73046a0ce5de7",
+        5: "e02fb80fcc8946a13729489b370261166572dfa6f3a317ffe6b860f8460b6fc5",
+        6: "b1df05bf070d0b2cc4a15fcc6419a6bfd678d83ac7794a0814424d5e94cb594c"}),
+    "c4-h3": (("c4", 6, 2, C4_PATTERNS), 3000, 3, 1, [1, 3, 5], [2, 4, 6], (3, 3), {
+        2: "8c2a015f5d19b4ea16f1f8eb775514e29f8ca98acb1976dd121f450901501eb8",
+        4: "09bbf2564731ed2653454157b4c2279efa86ad0668b8db6e39cc8a2904e658f7",
+        6: "bde2ec0ad72a9b081f26309a95e33f0109454dab278385a85c3898eca58e3904"}),
+    "hadamard": (("hadamard", 8, 4, [(3, 5)]), 0, 11, 1, [2, 5, 7], [1, 3, 4, 6, 8], (3, 5), {
+        1: "2118fb389ea79b7b9541ffb25691849380ae9bb89077b0d76c3d2047350a2c32",
+        3: "d0e3c8191d8c43f67f8840e7e95d7d1f40047a7206df47a0df8328a709a63108",
+        4: "3c36f790214e16e9d3b5753e8869013208998f83eca2cbfe5ff528618ee4911e",
+        6: "926871903f5a535f1b921e937314a956dc47efa9c9651ad7b5ede0860d8a6bc8",
+        8: "c88a571fa474c4ba13bc74dd5eec570d6a3c77f4233f189bccbde060f7efbe3a"}),
+}
+
 
 def _layout_digest(arrays) -> str:
     """SHA-256 over the per-array digests (shape + little-endian int64 bytes)."""
@@ -97,3 +119,19 @@ def test_seeded_byte_ingest_shards_are_pinned(tmp_path):
     state = ingest(payload, spec, tmp_path / "c")
     assert state.blocks == 6
     assert {j: s["digest"] for j, s in state.manifest["shards"].items()} == GOLDEN_C4_BYTE_SHARDS
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRANSFERS))
+def test_seeded_cluster_transfer_payloads_are_pinned(name, tmp_path):
+    spec_args, nbytes, seed, blocks, failed, helpers, pattern, digests = GOLDEN_TRANSFERS[name]
+    if nbytes:
+        payload = np.random.default_rng(seed).integers(0, 256, size=nbytes,
+                                                       dtype=np.uint8).tobytes()
+        state = ingest(payload, build(*spec_args, min_prime=257), tmp_path / "c")
+    else:
+        state = ingest(None, build(*spec_args), tmp_path / "c", seed=seed, blocks=blocks)
+    fail_nodes(state, failed)
+    run_repair(state, failed, helpers, pattern)
+    got = {j: hashlib.sha256((tmp_path / "c" / "transfer" / f"helper_{j:02d}.payload")
+                             .read_bytes()).hexdigest() for j in helpers}
+    assert got == digests

@@ -101,6 +101,8 @@ def test_repair_roundtrip_and_ledger(tmp_path):
     assert state.access_log.total("download") == t.total * ELEMENT_SIZE
     assert state.access_log.total() == (state.access_log.total("shard")
                                         + state.access_log.total("download"))
+    assert state.access_log.total("shard") == sum(
+        state.shard_path(j).stat().st_size for j in (3, 4, 5, 6))
     assert extract(state) == payload
 
 
@@ -121,6 +123,47 @@ def test_repair_verifies_every_shard_before_writing(tmp_path, monkeypatch):
     for j in (1, 2):
         assert not state.shard_path(j).exists()
         assert state.status(j) == "FAILED" and on_disk.status(j) == "FAILED"
+
+
+def _flip_element_byte(blob: bytes) -> bytes:
+    out = bytearray(blob)
+    out[HEADER_SIZE + 8 * 5] ^= 0x01
+    return bytes(out)
+
+
+def _repack_header(blob: bytes, **fields) -> bytes:
+    names = ("magic", "version", "node", "n", "k", "tag", "count", "prime")
+    values = dict(zip(names, storage.HEADER.unpack(blob[:HEADER_SIZE])))
+    values.update(fields)
+    return storage.HEADER.pack(*(values[f] for f in names)) + blob[HEADER_SIZE:]
+
+
+@pytest.mark.parametrize("fault", [
+    lambda blob, node4: _flip_element_byte(blob),
+    lambda blob, node4: blob[:-ELEMENT_SIZE],
+    lambda blob, node4: _repack_header(blob, prime=263),
+    lambda blob, node4: _repack_header(blob, node=5),
+    lambda blob, node4: node4,
+], ids=["element-byte", "truncated", "wrong-prime", "wrong-node", "node-4-copy"])
+def test_repair_rejects_a_damaged_helper_shard(fault, tmp_path):
+    state = ingest(bytes(range(200)) * 3, c3_spec(), tmp_path / "c")
+    fail_nodes(state, [1, 2])
+    helper = state.shard_path(3)
+    helper.write_bytes(fault(helper.read_bytes(), state.shard_path(4).read_bytes()))
+    with pytest.raises(CorruptionError, match="node_03.shard"):
+        run_repair(state, [1, 2], [3, 4, 5, 6], (2, 4))
+    on_disk = load_cluster(tmp_path / "c")
+    for j in (1, 2):
+        assert not state.shard_path(j).exists()
+        assert state.status(j) == "FAILED" and on_disk.status(j) == "FAILED"
+
+
+def test_extract_names_a_corrupt_shard(tmp_path):
+    state = ingest(bytes(range(200)), c3_spec(), tmp_path / "c")
+    path = state.shard_path(1)
+    path.write_bytes(_flip_element_byte(path.read_bytes()))
+    with pytest.raises(CorruptionError, match="node_01.shard"):
+        extract(state)
 
 
 def test_repair_empty_set_is_noop(tmp_path):
