@@ -143,6 +143,8 @@ def cmd_repair(args) -> int:
 
 
 def cmd_verify_mds(args) -> int:
+    if args.samples < 1:
+        raise ParameterError(f"--samples must be at least 1, got {args.samples}")
     seed = _seed(args)
     manifest = json.loads(Path(args.manifest).read_text())
     spec = spec_from_manifest(manifest)

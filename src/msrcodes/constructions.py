@@ -1,27 +1,37 @@
 """MDS array code families with optimal centralized repair.
 
 Five families share one parity-check shape: for every plane (a, b) and every
-t in [r],  sum_j lambda_{j, a_j}^(t-1) * c_{j,(a,b)} = 0.  They differ only in
-how the digit base s_m and block count s derive from the repair patterns:
+t in [r],  sum_j lambda_{j, a_j}^(t-1) * c_{j,(a,b)} = 0.  They also share
+one parameter rule.  Every pattern (h, d) needs 1 <= h <= n-k and
+k <= d <= n-h, and then gets
 
-  C1        single failures, repair degrees d_1 < ... < d_m; s_i = d_i - k + 1
-  C2        patterns (h_i, d_i) with h_i | (d_i - k); s_i = (d_i-k+h_i)/h_i
-  C3        one general pattern (h, d); delta = gcd(h, d-k),
-            s_m = (d-k+delta)/delta, s = (d-k+h)/delta
-  C4        any pattern list; per-pattern delta_i as in C3,
-            s = lcm of the block widths (d_i-k+h_i)/delta_i
-  HADAMARD  one pattern with (d-k) | h and h/(d-k)+1 a power of two; ell = 2^n
+  delta = gcd(h, d-k),  s_i = (d-k+delta)/delta,  width = (d-k+h)/delta
 
-Nodes, digit positions and pattern indices are 1-based throughout.
+(C4's rule; when h | (d-k) it gives delta = h, the C1/C2 values).  The
+patterns are sorted stably by s_i; s_m is the largest s_i and s is the lcm
+of the widths of the patterns that are not pinned.  Each family adds only
+its own constraints:
+
+  C1        h = 1 and d > k
+  C2        h | (d-k)
+  C3        exactly one pattern, h >= 2 and d > k
+  C4        none
+  HADAMARD  exactly one pattern, d > k, (d-k) | h and h/(d-k)+1 a power of
+            two no larger than 2^n; its pattern has delta = d-k, s_i = 2 and
+            width 1, so s_m = 2, s = 1 and ell = 2^n
+
+A pinned pattern is the largest-s pattern of C1 or C2: its repair fixes the
+digit at min(H) instead of spreading over b-blocks, so it needs no share of
+s.  Nodes, digit positions and pattern indices are 1-based throughout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -49,9 +59,10 @@ class PatternInfo:
 
     h: int
     d: int
-    delta: int  # gcd(h, d-k); equals h for C1/C2 patterns
+    delta: int  # gcd(h, d-k) (h for C1/C2 patterns); d-k for HADAMARD
     s: int      # contribution to the digit base
     width: int  # b-block width used by the repair scheme
+    pinned: bool = False  # largest-s C1/C2 pattern; its width is not in s
 
 
 @dataclass(frozen=True)
@@ -77,16 +88,12 @@ class CodeSpec:
     def lam_array(self) -> np.ndarray:
         return np.array(self.lam, dtype=np.int64)
 
-    def pattern_info(self, h: int, d: int) -> Tuple[int, PatternInfo]:
-        """(sorted index, info) for a supported pattern; raises otherwise."""
-        for idx, info in enumerate(self.sorted_patterns):
+    def pattern_info(self, h: int, d: int) -> PatternInfo:
+        """The info of a supported pattern; raises otherwise."""
+        for info in self.sorted_patterns:
             if info.h == h and info.d == d:
-                return idx, info
+                return info
         raise ParameterError(f"pattern (h={h}, d={d}) not supported by this spec")
-
-
-def _lcm(values: Sequence[int]) -> int:
-    return math.lcm(*values) if values else 1
 
 
 def assign_lambda(n: int, s_m: int, field: PrimeField) -> tuple:
@@ -99,93 +106,33 @@ def assign_lambda(n: int, s_m: int, field: PrimeField) -> tuple:
     return tuple(tuple((i - 1) * s_m + j + 1 for j in range(s_m)) for i in range(1, n + 1))
 
 
-def _validate_patterns(family: Family, n: int, k: int, patterns) -> list:
-    if n < 2 or not (1 <= k < n):
-        raise ParameterError(f"need 1 <= k < n, got n={n}, k={k}")
-    pats = [(int(h), int(d)) for h, d in patterns]
-    if not pats:
-        raise ParameterError("pattern list is empty")
-    if len(set(pats)) != len(pats):
-        raise ParameterError("duplicate pattern")
-    return pats
-
-
-def _derive_c1(n, k, pats):
-    for h, d in pats:
-        if h != 1:
-            raise ParameterError(f"C1 takes single-failure patterns only, got h={h}")
-    ds = sorted(d for _, d in pats)
-    if ds[0] <= k:
-        raise ParameterError(f"C1 requires k < d, got d={ds[0]}")
-    if ds[-1] > n - 1:
-        raise ParameterError(f"C1 requires d <= n-1, got d={ds[-1]}")
-    return [PatternInfo(1, d, 1, d - k + 1, d - k + 1) for d in ds]
-
-
-def _derive_c2(n, k, pats):
-    infos = []
-    for h, d in pats:
-        if not (1 <= h <= n - k):
-            raise ParameterError(f"C2 requires 1 <= h <= n-k, got h={h}")
-        if not (k <= d <= n - h):
-            raise ParameterError(f"C2 requires k <= d <= n-h, got (h={h}, d={d})")
-        if (d - k) % h:
-            raise ParameterError(f"C2 requires h | (d-k), got (h={h}, d={d})")
-        si = (d - k + h) // h
-        infos.append(PatternInfo(h, d, h, si, si))
-    infos.sort(key=lambda pi: pi.s)  # stable: caller order preserved among ties
-    return infos
-
-
-def _derive_c3(n, k, pats):
-    if len(pats) != 1:
-        raise ParameterError("C3 takes exactly one (h, d) pattern")
-    h, d = pats[0]
-    if not (2 <= h <= n - k):
-        raise ParameterError(f"C3 requires 2 <= h <= n-k, got h={h}")
-    if not (k < d):
-        raise ParameterError(f"C3 requires k < d, got d={d}")
-    if d > n - h:
-        raise ParameterError(f"C3 requires d <= n-h, got (h={h}, d={d})")
+def _pattern_info(family: Family, n: int, k: int, h: int, d: int) -> PatternInfo:
+    """The per-pattern rule for (h, d) after the range checks and the
+    constraints `family` adds to them."""
+    name = family.name
+    if not 1 <= h <= n - k:
+        raise ParameterError(f"{name} requires 1 <= h <= n-k, got h={h}")
+    if not k <= d <= n - h:
+        raise ParameterError(f"{name} requires k <= d <= n-h, got (h={h}, d={d})")
+    if family is Family.C1 and h != 1:
+        raise ParameterError(f"C1 takes single-failure patterns only, got h={h}")
+    if family is Family.C2 and (d - k) % h:
+        raise ParameterError(f"C2 requires h | (d-k), got (h={h}, d={d})")
+    if family is Family.C3 and h < 2:
+        raise ParameterError(f"C3 requires 2 <= h, got h={h}")
+    if family in (Family.C1, Family.C3, Family.HADAMARD) and d == k:
+        raise ParameterError(f"{name} requires k < d, got d={d}")
+    if family is Family.HADAMARD:
+        if h % (d - k):
+            raise ParameterError(f"HADAMARD requires (d-k) | h, got (h={h}, d={d})")
+        N = h // (d - k)
+        if (N + 1) & N:  # power-of-two test on N+1
+            raise ParameterError(f"HADAMARD requires h/(d-k)+1 to be a power of two, got {N + 1}")
+        if N.bit_length() > n:
+            raise ParameterError(f"HADAMARD requires h/(d-k)+1 <= 2^n, got {N + 1} > 2^{n}")
+        return PatternInfo(h, d, d - k, 2, 1)
     delta = math.gcd(h, d - k)
-    s0 = (d - k + delta) // delta
-    width = (d - k + h) // delta
-    return [PatternInfo(h, d, delta, s0, width)]
-
-
-def _derive_c4(n, k, pats):
-    infos = []
-    for h, d in pats:
-        if not (1 <= h <= n - k):
-            raise ParameterError(f"C4 requires 1 <= h <= n-k, got h={h}")
-        if not (k <= d <= n - h):
-            raise ParameterError(f"C4 requires k <= d <= n-h, got (h={h}, d={d})")
-        delta = math.gcd(h, d - k) if d > k else h
-        si = (d - k + delta) // delta
-        infos.append(PatternInfo(h, d, delta, si, (d - k + h) // delta))
-    infos.sort(key=lambda pi: pi.s)
-    return infos
-
-
-def _derive_hadamard(n, k, pats):
-    if len(pats) != 1:
-        raise ParameterError("HADAMARD takes exactly one (h, d) pattern")
-    h, d = pats[0]
-    if not (1 <= h <= n - k):
-        raise ParameterError(f"HADAMARD requires 1 <= h <= n-k, got h={h}")
-    if not (k < d):
-        raise ParameterError(f"HADAMARD requires k < d, got d={d}")
-    if d > n - h:
-        raise ParameterError(f"HADAMARD requires d <= n-h, got (h={h}, d={d})")
-    if h % (d - k):
-        raise ParameterError(f"HADAMARD requires (d-k) | h, got (h={h}, d={d})")
-    N = h // (d - k)
-    if (N + 1) & N:  # power-of-two test on N+1
-        raise ParameterError(f"HADAMARD requires h/(d-k)+1 to be a power of two, got {N + 1}")
-    w = (N + 1).bit_length() - 1
-    if w > n:
-        raise ParameterError(f"HADAMARD requires h/(d-k)+1 <= 2^n, got 2^{w} > 2^{n}")
-    return [PatternInfo(h, d, d - k, 2, 1)], w, N
+    return PatternInfo(h, d, delta, (d - k + delta) // delta, (d - k + h) // delta)
 
 
 def build(family, n: int, k: int, patterns,
@@ -197,30 +144,25 @@ def build(family, n: int, k: int, patterns,
     prime is validated against the same floor.
     """
     family = Family(family)
-    pats = _validate_patterns(family, n, k, patterns)
-    had_w = had_N = None
-    if family is Family.C1:
-        infos = _derive_c1(n, k, pats)
-    elif family is Family.C2:
-        infos = _derive_c2(n, k, pats)
-    elif family is Family.C3:
-        infos = _derive_c3(n, k, pats)
-    elif family is Family.C4:
-        infos = _derive_c4(n, k, pats)
-    else:
-        infos, had_w, had_N = _derive_hadamard(n, k, pats)
-
+    if not 1 <= k < n:
+        raise ParameterError(f"need 1 <= k < n, got n={n}, k={k}")
+    pats = [(int(h), int(d)) for h, d in patterns]
+    if not pats:
+        raise ParameterError("pattern list is empty")
+    if len(set(pats)) != len(pats):
+        raise ParameterError("duplicate pattern")
+    if family in (Family.C3, Family.HADAMARD) and len(pats) != 1:
+        raise ParameterError(f"{family.name} takes exactly one (h, d) pattern")
+    # stable: caller order preserved among ties
+    infos = sorted((_pattern_info(family, n, k, h, d) for h, d in pats), key=lambda pi: pi.s)
     if family in (Family.C1, Family.C2):
-        s_m = infos[-1].s
-        s = _lcm([pi.s for pi in infos[:-1]])
-    elif family is Family.C3:
-        s_m = infos[0].s
-        s = infos[0].width
-    elif family is Family.C4:
-        s_m = infos[-1].s
-        s = _lcm([pi.width for pi in infos])
-    else:  # HADAMARD
-        s_m, s = 2, 1
+        infos[-1] = replace(infos[-1], pinned=True)
+    s_m = infos[-1].s
+    s = math.lcm(*(pi.width for pi in infos if not pi.pinned))
+    had_w = had_N = None
+    if family is Family.HADAMARD:
+        had_N = infos[0].h // infos[0].delta
+        had_w = had_N.bit_length()
 
     ell = s * s_m**n
     floor = s_m * n + 1

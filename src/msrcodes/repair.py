@@ -239,7 +239,7 @@ def plan(spec: CodeSpec, failed: Sequence[int], helpers: Sequence[int],
         raise ParameterError(f"pattern expects h={h} failed nodes, got {len(H)}")
     if len(R) != d:
         raise ParameterError(f"pattern expects d={d} helpers, got {len(R)}")
-    idx, info = spec.pattern_info(h, d)
+    info = spec.pattern_info(h, d)
     if h % info.delta:
         raise ParameterError("failed set not partitionable (internal)")
     partition = tuple(H[i:i + info.delta] for i in range(0, h, info.delta))
@@ -255,8 +255,7 @@ def plan(spec: CodeSpec, failed: Sequence[int], helpers: Sequence[int],
         a_base = a_all[part.class_table()[y] == 0]
         b_tables = [np.zeros((1, 2), dtype=np.int64)] * len(partition)
         extras = {"M": M, "w": spec.had_w, "N": spec.had_N, "partition": part}
-    elif (spec.family in (Family.C1, Family.C2)
-          and idx == len(spec.sorted_patterns) - 1):
+    elif info.pinned:
         # largest-s pattern of C1/C2: full s_m-orbits whose representative has
         # digit 0 at min(H), repeated in every block b
         a_base = a_all[coords.digit(a_all, H[0]) == 0]

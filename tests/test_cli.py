@@ -103,6 +103,16 @@ def test_verify_mds(tmp_path, capsys):
     assert info["ok"] and info["subsets"] == 10  # exhaustive: C(5,2)
 
 
+def test_verify_mds_rejects_fewer_than_one_sample(tmp_path, capsys):
+    cluster = tmp_path / "cl"
+    run(capsys, "encode", "--family", "c1", "--n", "5", "--k", "2", "--d", "3,4",
+        "--cluster", str(cluster), "--blocks", "1")
+    for samples in ("0", "-3"):
+        code, out, err = run(capsys, "verify-mds", "--manifest",
+                             str(cluster / "manifest.json"), "--samples", samples)
+        assert code == 1 and "--samples" in err and out == ""
+
+
 def test_table_csv(tmp_path, capsys):
     out_csv = tmp_path / "t.csv"
     code, out, _ = run(capsys, "table", "--n", "12", "--k", "6", "--h", "2",

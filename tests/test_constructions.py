@@ -88,6 +88,54 @@ def test_build_accepts_d_equals_k_for_c2_c4():
     assert spec4.s_m == 2
 
 
+def _documented_ell(family, n, k, pats):
+    """ell from the README's family table, or None where it rejects pats.
+
+    Written from the documented constraints only, as the reference build is
+    checked against.
+    """
+    if not (1 <= k < n and pats and len(set(pats)) == len(pats)):
+        return None
+    if not all(1 <= h <= n - k and k <= d <= n - h for h, d in pats):
+        return None
+    if family == "c1" and all(h == 1 and d > k for h, d in pats):
+        s = sorted(d - k + 1 for _, d in pats)
+        return math.lcm(*s[:-1]) * s[-1] ** n
+    if family == "c2" and all((d - k) % h == 0 for h, d in pats):
+        s = sorted((d - k + h) // h for h, d in pats)
+        return math.lcm(*s[:-1]) * s[-1] ** n
+    if family == "c4" or (family == "c3" and len(pats) == 1
+                          and pats[0][0] >= 2 and pats[0][1] > k):
+        deltas = [math.gcd(h, d - k) for h, d in pats]
+        widths = [(d - k + h) // g for (h, d), g in zip(pats, deltas)]
+        s_m = max((d - k + g) // g for (_, d), g in zip(pats, deltas))
+        return math.lcm(*widths) * s_m ** n
+    if family == "hadamard" and len(pats) == 1:
+        h, d = pats[0]
+        if d > k and h % (d - k) == 0 and h // (d - k) + 1 in [2**w for w in range(n + 1)]:
+            return 2**n
+    return None
+
+
+def test_build_accepts_exactly_the_documented_constraints():
+    calls = accepted = 0
+    for n in range(8):
+        singles = [[(h, d)] for h in range(n + 1) for d in range(n + 1)]
+        pairs = [list(pq) for pq in itertools.combinations(
+            [p for (p,) in singles], 2)] if n <= 5 else []
+        for family, k, pats in itertools.product(
+                ["c1", "c2", "c3", "c4", "hadamard"], range(n + 1), singles + pairs):
+            want = _documented_ell(family, n, k, pats)
+            try:
+                got = build(family, n, k, pats).ell
+            except ParameterError:
+                got = None
+            assert got == want, (family, n, k, pats)
+            calls += 1
+            accepted += got is not None
+    assert calls == 35880 and accepted == 469
+
+
 def test_explicit_prime_validated():
     spec = build("c3", 6, 2, [(2, 4)], prime=257)
     assert spec.field.p == 257

@@ -1,7 +1,8 @@
-"""Property test of the file-backed cluster round trip over all five families.
+"""Property tests over all five families.
 
-Each example ingests a random byte payload, fails a random set H of h nodes,
-repairs it from a random helper set R of d nodes and extracts the payload.
+The cluster round trip ingests a random byte payload, fails a random set H of
+h nodes, repairs it from a random helper set R of d nodes and extracts the
+payload.  The MDS test rebuilds a random codeword from a random k-subset.
 """
 
 import tempfile
@@ -10,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from msrcodes.audit import cut_set
-from msrcodes.constructions import build
+from msrcodes.constructions import build, encode, mds_reconstruct, verify_planes
 from msrcodes.storage import ELEMENT_SIZE, extract, fail_nodes, ingest, run_repair
 
 SPECS = [  # (family, n, k, patterns), small ell so each example stays fast
@@ -45,3 +46,16 @@ def test_cluster_round_trip(data):
         assert t.total == cut_set(h, d, k, spec.ell)[1] * state.blocks
         assert state.access_log.total("download") == t.total * ELEMENT_SIZE
         assert extract(state) == payload
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_random_k_subset_reconstructs(data):
+    family, n, k, patterns = data.draw(st.sampled_from(SPECS))
+    spec = build(family, n, k, patterns)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    cw = encode(spec, np.random.default_rng(seed).integers(0, spec.field.p, (k, spec.ell)))
+    nodes = sorted(data.draw(st.permutations(range(1, n + 1)))[:k])
+    rec = mds_reconstruct(spec, nodes, cw.columns[[j - 1 for j in nodes]])
+    assert np.array_equal(rec.columns, cw.columns)
+    assert verify_planes(spec, rec.columns)
