@@ -3,12 +3,12 @@
 Library layout:
 
   field          GF(p) arithmetic (scalar elements and int64 array kernels)
-  mixedradix     (a, b) symbol coordinates; the only digit arithmetic (digits, shifts)
+  mixedradix     CoordinateSystem: (a, b) coordinates, the only digit arithmetic
   grs            Vandermonde-parity GRS words: syndromes, encode, erasure decode
   hamming        Ham(2, w) coset partition used by the Hadamard repair scheme
   constructions  the code families (C1..C4, Hadamard): build, encode, reconstruct
   repair         repair plans (one orbit builder), helper aggregation, center repair
-  audit          cut-set bounds, transcript verification, sub-packetization table
+  audit          cut-set bounds, the repair record and its check, Table 1
   storage        file-backed cluster simulator with download accounting
   cli            command-line entry point (`msrcodes`)
 """

@@ -1,5 +1,6 @@
-"""Repair-bandwidth auditing: cut-set bounds, transcript checks, and the
-sub-packetization comparison table.
+"""Repair-bandwidth auditing: cut-set bounds, the one repair record
+(RepairTranscript, whose verdict is derived from its counts, never stored),
+its check, and the sub-packetization comparison table.
 
 All arithmetic is exact Python-int arithmetic; the table values overflow
 64 bits almost immediately (lcm(1..6)^12 has 22 digits).
@@ -34,62 +35,74 @@ def cut_set(h: int, d: int, k: int, ell: int) -> Tuple[int, int]:
 
 
 @dataclass
-class BoundReport:
+class RepairTranscript:
+    """A centralized repair's downloads in field elements, with the cut-set
+    floors beta and gamma for its pattern and ell."""
+
     pattern: tuple
-    ell: int
-    beta: int
-    gamma: int
+    failed: tuple
+    helpers: tuple
+    ell: int                  # per-node symbol count the bounds refer to
     per_helper: Dict[int, int]
     total: int
-    uniform: bool   # every helper contributed exactly beta
-    optimal: bool   # total equals gamma
-    conforming: bool  # uniform and optimal
+    beta: int
+    gamma: int
+    group_families: list      # dicts: family, members, count, width, erasures_per_group
+
+    @property
+    def uniform(self) -> bool:  # every helper sent exactly beta
+        return all(c == self.beta for c in self.per_helper.values())
+
+    @property
+    def optimal(self) -> bool:  # the total equals gamma
+        return self.total == self.gamma
+
+    @property
+    def conforming(self) -> bool:
+        return self.uniform and self.optimal
 
     def to_json(self) -> dict:
         return {
             "pattern": list(self.pattern),
+            "failed": list(self.failed),
+            "helpers": list(self.helpers),
             "ell": self.ell,
-            "bound_beta": self.beta,
-            "bound_gamma": self.gamma,
             "per_helper": {str(j): c for j, c in self.per_helper.items()},
             "total": self.total,
-            "uniform": self.uniform,
+            "bound_beta": self.beta,
+            "bound_gamma": self.gamma,
             "optimal": self.optimal,
-            "conforming": self.conforming,
+            "uniform": self.uniform,
+            "groups": self.group_families,
         }
 
+    def bound_report(self) -> dict:
+        """The cut-set verdict alone, as `msrcodes repair --report` writes it."""
+        j = self.to_json()
+        keys = ("pattern", "ell", "bound_beta", "bound_gamma", "per_helper", "total")
+        return {**{key: j[key] for key in keys}, "uniform": self.uniform,
+                "optimal": self.optimal, "conforming": self.conforming}
 
-def verify_transcript(transcript, spec, pattern: Optional[tuple] = None) -> BoundReport:
-    """Check a repair transcript against the cut-set bound.
 
-    Accepts a RepairTranscript or its JSON dict.  The pattern and per-node
-    symbol count default to the transcript's own; spec, when given, pins k.
+def verify_transcript(transcript, spec) -> RepairTranscript:
+    """Check a RepairTranscript, or its JSON dict, against the cut-set bound.
+
+    Returns the record with beta and gamma recomputed from its pattern,
+    spec.k and ell, so the verdicts are the audit's, not the transcript's.
     """
-    if isinstance(transcript, dict):
-        pat = tuple(transcript["pattern"])
-        per_helper = {int(j): int(c) for j, c in transcript["per_helper"].items()}
-        total = int(transcript["total"])
-        ell = int(transcript["ell"])
-        helpers = [int(j) for j in transcript["helpers"]]
-    else:
-        pat = tuple(transcript.pattern)
-        per_helper = dict(transcript.per_helper)
-        total = transcript.total
-        ell = transcript.ell
-        helpers = list(transcript.helpers)
-    if pattern is not None and tuple(pattern) != pat:
-        raise ParameterError(f"transcript pattern {pat} != requested {tuple(pattern)}")
-    h, d = pat
+    j = transcript if isinstance(transcript, dict) else transcript.to_json()
+    h, d = (int(x) for x in j["pattern"])
+    helpers = tuple(int(x) for x in j["helpers"])
+    per_helper = {int(x): int(c) for x, c in j["per_helper"].items()}
     if len(helpers) != d or set(per_helper) != set(helpers):
         raise ParameterError("malformed transcript: helper set inconsistent")
-    if sum(per_helper.values()) != total:
+    if sum(per_helper.values()) != int(j["total"]):
         raise ParameterError("malformed transcript: per-helper counts do not sum to total")
-    beta, gamma = cut_set(h, d, spec.k, ell)
-    uniform = all(c == beta for c in per_helper.values())
-    optimal = total == gamma
-    return BoundReport(pattern=pat, ell=ell, beta=beta, gamma=gamma,
-                       per_helper=per_helper, total=total, uniform=uniform,
-                       optimal=optimal, conforming=uniform and optimal)
+    beta, gamma = cut_set(h, d, spec.k, int(j["ell"]))
+    return RepairTranscript(pattern=(h, d), failed=tuple(int(x) for x in j["failed"]),
+                            helpers=helpers, ell=int(j["ell"]), per_helper=per_helper,
+                            total=int(j["total"]), beta=beta, gamma=gamma,
+                            group_families=j["groups"])
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +143,7 @@ def table1_report(n: int, k: int, h: int, d: int) -> List[TableRow]:
     rows.append(TableRow("li", "single (h,d), h | (d-k)", li_ok,
                          ((d - k + h) // h) ** n if li_ok else None,
                          "" if li_ok else "requires h | (d-k)"))
-    delta = math.gcd(h, d - k) if d > k else h
+    delta = math.gcd(h, d - k)
     rows.append(TableRow("thm3", "single (h,d)", True,
                          ((d - k + h) // delta) * ((d - k + delta) // delta) ** n,
                          f"delta={delta}"))

@@ -43,7 +43,11 @@ def _seed(args) -> int:
 def _parse_pattern_args(args) -> list:
     family = Family(args.family)
     if getattr(args, "patterns", None):
-        return [tuple(int(x) for x in p.split(":")) for p in args.patterns.split(",")]
+        pairs = [entry.split(":") for entry in args.patterns.split(",")]
+        for pair in pairs:
+            if len(pair) != 2 or not all(x.strip().isdecimal() for x in pair):
+                raise ParameterError(f"--patterns entry {':'.join(pair)!r} is not h:d")
+        return [(int(h), int(d)) for h, d in pairs]
     if args.d is None:
         raise ParameterError("--d is required")
     ds = _ints(args.d)
@@ -132,7 +136,7 @@ def cmd_repair(args) -> int:
     state, transcript = storage.run_repair(state, nodes,
                                            _ints(args.helpers), pattern)
     report = audit.verify_transcript(transcript, state.spec)
-    out = {"transcript": transcript.to_json(), "bound_report": report.to_json()}
+    out = {"transcript": transcript.to_json(), "bound_report": report.bound_report()}
     if args.report:
         Path(args.report).write_text(json.dumps(out, indent=2))
     _emit(args, out,
@@ -191,7 +195,6 @@ def cmd_selftest(args) -> int:
     def field_axioms():
         from .field import PrimeField
         f = PrimeField(17)
-        x, y, z = (int(v) for v in rng.integers(0, 17, size=3))
         for _ in range(1000):
             x, y, z = (int(v) for v in rng.integers(0, 17, size=3))
             assert f.mul(x, f.add(y, z)) == f.add(f.mul(x, y), f.mul(x, z))

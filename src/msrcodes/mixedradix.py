@@ -26,13 +26,6 @@ class Coordinate(NamedTuple):
     b: int
 
 
-def cyc_add(x: int, y: int, base: int) -> int:
-    """Digit addition modulo base."""
-    if not (0 <= x < base and 0 <= y < base):
-        raise ParameterError(f"digits {x},{y} out of range for base {base}")
-    return (x + y) % base
-
-
 @dataclass(frozen=True)
 class CoordinateSystem:
     base: int  # digit alphabet size
@@ -127,18 +120,3 @@ class CoordinateSystem:
             raise ParameterError(f"tau={tau} outside [0, {self.ell - 1}]")
         return Coordinate(tau % self.a_count, tau // self.a_count)
 
-
-def digits(a: int, base: int, n: int) -> tuple:
-    return CoordinateSystem(base, n, 1).digits(a)
-
-
-def substitute(a: int, base: int, n: int, positions: Sequence[int], values: Sequence[int]) -> int:
-    return CoordinateSystem(base, n, 1).substitute(a, positions, values)
-
-
-def pack(a: int, b: int, base: int, n: int, s: int) -> int:
-    return CoordinateSystem(base, n, s).pack(a, b)
-
-
-def unpack(tau: int, base: int, n: int, s: int) -> Coordinate:
-    return CoordinateSystem(base, n, s).unpack(tau)

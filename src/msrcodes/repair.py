@@ -33,7 +33,7 @@ Group ordering is deterministic: families in partition order, groups by
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -124,37 +124,6 @@ class RepairPlan:
 class HelperPayload:
     helper: int
     values: np.ndarray  # one aggregated element per group, plan order
-
-
-@dataclass
-class RepairTranscript:
-    pattern: tuple
-    failed: tuple
-    helpers: tuple
-    ell: int                  # per-node symbol count the bounds refer to
-    per_helper: Dict[int, int]
-    total: int
-    beta: int
-    gamma: int
-    optimal: bool
-    uniform: bool
-    group_families: list      # dicts: family, members, count, width, erasures_per_group
-    downloads: Optional[dict] = None  # helper -> value array (plan order)
-
-    def to_json(self) -> dict:
-        return {
-            "pattern": list(self.pattern),
-            "failed": list(self.failed),
-            "helpers": list(self.helpers),
-            "ell": self.ell,
-            "per_helper": {str(j): c for j, c in self.per_helper.items()},
-            "total": self.total,
-            "bound_beta": self.beta,
-            "bound_gamma": self.gamma,
-            "optimal": self.optimal,
-            "uniform": self.uniform,
-            "groups": self.group_families,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -347,21 +316,18 @@ def repair_columns(plan_: RepairPlan, payload_matrix: np.ndarray) -> np.ndarray:
     return restored
 
 
-def build_transcript(plan_: RepairPlan, blocks: int = 1,
-                     downloads: Optional[dict] = None) -> RepairTranscript:
+def build_transcript(plan_: RepairPlan, blocks: int = 1) -> audit.RepairTranscript:
     """Transcript for a repair of `blocks` stacked codewords under this plan."""
-    total = plan_.per_helper * len(plan_.helpers) * blocks
-    return RepairTranscript(
+    return audit.RepairTranscript(
         pattern=plan_.pattern, failed=plan_.failed, helpers=plan_.helpers,
         ell=plan_.spec.ell * blocks,
         per_helper={j: plan_.per_helper * blocks for j in plan_.helpers},
-        total=total, beta=plan_.beta * blocks, gamma=plan_.gamma * blocks,
-        optimal=total == plan_.gamma * blocks, uniform=True,
+        total=plan_.per_helper * len(plan_.helpers) * blocks,
+        beta=plan_.beta * blocks, gamma=plan_.gamma * blocks,
         group_families=[{"family": f.index, "members": list(f.members),
                          "count": f.group_count, "width": f.width,
                          "erasures_per_group": plan_.spec.r}
                         for f in plan_.families],
-        downloads=downloads,
     )
 
 
@@ -375,13 +341,9 @@ def center_repair(plan_: RepairPlan, payloads):
     matrix = _payload_matrix(plan_, payloads)
     squeeze = all(pl.values.ndim == 1 for pl in payloads)
     restored = repair_columns(plan_, matrix)
-    B = matrix.shape[1]
-    out = {}
-    for i, node in enumerate(plan_.failed):
-        out[node] = restored[i, 0] if squeeze else restored[i]
-    downloads = {j: matrix[i, 0] if squeeze else matrix[i]
-                 for i, j in enumerate(plan_.helpers)}
-    return out, build_transcript(plan_, blocks=B, downloads=downloads)
+    out = {node: restored[i, 0] if squeeze else restored[i]
+           for i, node in enumerate(plan_.failed)}
+    return out, build_transcript(plan_, blocks=matrix.shape[1])
 
 
 def repair_from_codeword(plan_: RepairPlan, columns: np.ndarray):

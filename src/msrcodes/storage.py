@@ -33,8 +33,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import repair as repair_mod
-from .constructions import (CodeSpec, Family, encode_blocks, complete_columns,
+from . import audit, repair as repair_mod
+from .constructions import (CodeSpec, Family, build, encode_blocks, complete_columns,
                             manifest_dict, spec_from_manifest)
 from .errors import CorruptionError, DataLossError, ParameterError, ScenarioError
 
@@ -247,12 +247,6 @@ def run_repair(state: ClusterState, failed: Sequence[int], helpers: Sequence[int
     """
     failed = sorted(int(j) for j in failed)
     helpers = sorted(int(j) for j in helpers)
-    if not failed:
-        t = repair_mod.RepairTranscript(
-            pattern=tuple(pattern), failed=(), helpers=tuple(helpers),
-            ell=state.spec.ell * state.blocks, per_helper={}, total=0,
-            beta=0, gamma=0, optimal=True, uniform=True, group_families=[])
-        return state, t
     for j in failed:
         if state.status(j) != FAILED:
             raise ParameterError(f"node {j} is not failed")
@@ -299,16 +293,31 @@ def run_repair(state: ClusterState, failed: Sequence[int], helpers: Sequence[int
     return state, transcript
 
 
-def extract(state: ClusterState) -> bytes:
+def extract(state: ClusterState, skip_corrupt: bool = False) -> bytes:
     """Decode the original payload from the first k alive shards, each checked
-    against its manifest digest, and verify the payload digest."""
+    against its manifest digest, and verify the payload digest.  A corrupt
+    shard raises CorruptionError naming it; with skip_corrupt it is passed
+    over instead, and only fewer than k verified shards raise."""
     spec = state.spec
     alive = state.alive_nodes()
     if len(alive) < spec.k:
         raise DataLossError(f"only {len(alive)} alive nodes, need {spec.k}")
-    use = alive[:spec.k]
-    cols = np.stack([read_shard(state.shard_path(j), digest=state.shard_digest(j))[1]
-                     .reshape(state.blocks, spec.ell) for j in use], axis=1)  # (B, k, ell)
+    use, cols, corrupt = [], [], []
+    for j in alive:
+        try:
+            cols.append(read_shard(state.shard_path(j), digest=state.shard_digest(j))[1]
+                        .reshape(state.blocks, spec.ell))
+            use.append(j)
+        except CorruptionError:
+            if not skip_corrupt:
+                raise
+            corrupt.append(str(state.shard_path(j)))
+        if len(use) == spec.k:
+            break
+    else:
+        raise CorruptionError(f"only {len(use)} alive shards match their digests, "
+                              f"need {spec.k}; corrupt: {', '.join(corrupt)}")
+    cols = np.stack(cols, axis=1)  # (B, k, ell)
     full = complete_columns(spec, use, cols)
     data = full[:, :spec.k, :]  # systematic nodes 1..k
     if state.manifest["mode"] == "bytes":
@@ -335,8 +344,6 @@ def run_scenario(config: dict, root=None) -> dict:
     failure raises ScenarioError carrying the 0-based step index (partial
     report attached as .report).
     """
-    from .constructions import build
-
     steps = config.get("steps", [])
     report: dict = {"steps": [], "ok": True}
     if not steps:
@@ -364,28 +371,22 @@ def run_scenario(config: dict, root=None) -> dict:
                                blocks=config.get("blocks", 1))
                 report["steps"].append({"op": op, "blocks": state.blocks,
                                         "ell": spec.ell, "prime": spec.field.p})
+            elif op in ("fail", "repair", "verify") and state is None:
+                raise ParameterError(f"{op} before ingest")
             elif op == "fail":
-                if state is None:
-                    raise ParameterError("fail before ingest")
                 fail_nodes(state, step["nodes"])
                 report["steps"].append({"op": op, "nodes": sorted(step["nodes"])})
             elif op == "repair":
-                if state is None:
-                    raise ParameterError("repair before ingest")
                 pattern = (step["h"], step["d"])
                 state, transcript = run_repair(state, step["nodes"],
                                                step["helpers"], pattern)
-                from . import audit
                 rep = audit.verify_transcript(transcript, state.spec)
-                entry = {"op": op, "pattern": list(pattern),
-                         "total": transcript.total, "optimal": rep.optimal,
-                         "uniform": rep.uniform}
-                report["steps"].append(entry)
+                report["steps"].append({"op": op, "pattern": list(pattern),
+                                        "total": transcript.total, "optimal": rep.optimal,
+                                        "uniform": rep.uniform})
                 if not rep.conforming:
                     raise CorruptionError("repair transcript not optimal")
             elif op == "verify":
-                if state is None:
-                    raise ParameterError("verify before ingest")
                 extract(state)
                 report["steps"].append({"op": op, "digest_ok": True})
             else:

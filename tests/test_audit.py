@@ -51,6 +51,25 @@ def test_verify_transcript_from_repair():
     assert rep2.optimal and rep2.conforming
 
 
+def test_verify_transcript_returns_one_record_for_both_forms():
+    spec = build("c4", 6, 2, [(1, 3), (2, 4), (3, 3)])
+    rng = np.random.default_rng(3)
+    cw = encode(spec, random_data(spec, rng))
+    pl = plan(spec, [1, 3, 5], [2, 4, 6], (3, 3))
+    _, t = repair_from_codeword(pl, cw.columns)
+    rep = audit.verify_transcript(t, spec)
+    assert isinstance(rep, audit.RepairTranscript) and rep == t
+    assert audit.verify_transcript(t.to_json(), spec) == rep
+    # the verdict follows the counts: nothing stored can contradict them
+    j = t.to_json()
+    j["bound_beta"], j["bound_gamma"], j["optimal"] = 1, 3, False
+    assert audit.verify_transcript(j, spec) == rep and rep.conforming
+    assert rep.bound_report() == {
+        "pattern": [3, 3], "ell": spec.ell, "bound_beta": rep.beta,
+        "bound_gamma": rep.gamma, "per_helper": {"2": rep.beta, "4": rep.beta, "6": rep.beta},
+        "total": rep.gamma, "uniform": True, "optimal": True, "conforming": True}
+
+
 def test_verify_transcript_extra_symbol_not_optimal():
     spec = build("c3", 6, 2, [(2, 4)])
     rng = np.random.default_rng(1)

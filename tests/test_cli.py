@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from msrcodes.cli import main
 
 
@@ -111,6 +113,15 @@ def test_verify_mds_rejects_fewer_than_one_sample(tmp_path, capsys):
         code, out, err = run(capsys, "verify-mds", "--manifest",
                              str(cluster / "manifest.json"), "--samples", samples)
         assert code == 1 and "--samples" in err and out == ""
+
+
+@pytest.mark.parametrize("patterns, entry", [("1:3,2", "'2'"), ("1:3:4", "'1:3:4'"),
+                                              ("1:x", "'1:x'"), ("1:\u00b2", "'1:\u00b2'")])
+def test_malformed_patterns_are_named(patterns, entry, capsys):
+    code, out, err = run(capsys, "params", "--family", "c2", "--n", "6", "--k", "2",
+                         "--patterns", patterns)
+    assert code == 1 and out == ""
+    assert "--patterns" in err and entry in err
 
 
 def test_table_csv(tmp_path, capsys):

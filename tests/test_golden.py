@@ -1,5 +1,5 @@
-"""Golden layouts: repair-group coordinates, evaluation points, shard bytes
-and helper transfer payloads.
+"""Golden layouts: repair-group coordinates, evaluation points, shard bytes,
+helper transfer payloads and the repair records a cluster writes.
 
 Each digest pins the exact bytes a plan, an ingest or a cluster repair
 produces, so any rewrite of the family builders, the digit arithmetic, the
@@ -9,10 +9,12 @@ h = 1, 2, 3, and Hadamard.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from msrcodes.cli import main
 from msrcodes.constructions import build
 from msrcodes.repair import plan
 from msrcodes.storage import fail_nodes, ingest, run_repair
@@ -88,6 +90,16 @@ GOLDEN_TRANSFERS = {
         8: "c88a571fa474c4ba13bc74dd5eec570d6a3c77f4233f189bccbde060f7efbe3a"}),
 }
 
+# SHA-256 of json.dumps(entry), key order included, for the manifest's last
+# `repairs` entry and the `bound_report` of `msrcodes repair --report`
+GOLDEN_C3_REPAIR_ENTRY = "9750316da8a9ef2f7b5884ad71457bed7792d4ffc73eee9666310547d57c8107"
+GOLDEN_C3_BOUND_REPORT = "d10d70498a45e982c975cdc8a1d04388f46c6694cb1f02191522c97be8867907"
+GOLDEN_C4_H3_REPAIR_ENTRY = "2ecf467ef8ed17bb7b987d75a8da65a5b530559b7029b160e5866a227845b2ee"
+
+
+def _json_digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
 
 def _layout_digest(arrays) -> str:
     """SHA-256 over the per-array digests (shape + little-endian int64 bytes)."""
@@ -135,3 +147,25 @@ def test_seeded_cluster_transfer_payloads_are_pinned(name, tmp_path):
     got = {j: hashlib.sha256((tmp_path / "c" / "transfer" / f"helper_{j:02d}.payload")
                              .read_bytes()).hexdigest() for j in helpers}
     assert got == digests
+
+
+def test_seeded_c3_repair_records_are_pinned(tmp_path, capsys):
+    cluster, report = tmp_path / "c", tmp_path / "r.json"
+    assert main(["encode", "--family", "c3", "--n", "6", "--k", "2", "--h", "2", "--d", "4",
+                 "--cluster", str(cluster), "--seed", "7", "--blocks", "2"]) == 0
+    assert main(["fail", "--cluster", str(cluster), "--nodes", "1,2"]) == 0
+    assert main(["repair", "--cluster", str(cluster), "--nodes", "1,2", "--helpers", "3,4,5,6",
+                 "--h", "2", "--d", "4", "--report", str(report)]) == 0
+    entry = json.loads((cluster / "manifest.json").read_text())["repairs"][-1]
+    out = json.loads(report.read_text())
+    assert _json_digest(entry) == _json_digest(out["transcript"]) == GOLDEN_C3_REPAIR_ENTRY
+    assert _json_digest(out["bound_report"]) == GOLDEN_C3_BOUND_REPORT
+
+
+def test_seeded_c4_h3_repair_entry_is_pinned(tmp_path):
+    payload = np.random.default_rng(3).integers(0, 256, size=3000, dtype=np.uint8).tobytes()
+    state = ingest(payload, build("c4", 6, 2, C4_PATTERNS, min_prime=257), tmp_path / "c")
+    fail_nodes(state, [1, 3, 5])
+    run_repair(state, [1, 3, 5], [2, 4, 6], (3, 3))
+    entry = json.loads((tmp_path / "c" / "manifest.json").read_text())["repairs"][-1]
+    assert _json_digest(entry) == GOLDEN_C4_H3_REPAIR_ENTRY

@@ -4,27 +4,31 @@ import numpy as np
 import pytest
 
 from msrcodes.errors import ParameterError
-from msrcodes.mixedradix import (Coordinate, CoordinateSystem, cyc_add, digits,
-                                 pack, substitute, unpack)
+from msrcodes.mixedradix import Coordinate, CoordinateSystem
+
+
+def cyc_add(x: int, v: int, base: int) -> int:
+    """Cyclic digit addition: shift_digits on a one-digit system."""
+    return CoordinateSystem(base, 1, 1).shift_digits(x, [1], v)
 
 
 def test_digits_examples():
-    assert digits(5, 3, 3) == (2, 1, 0)  # 5 = 2 + 1*3
-    assert digits(0, 4, 5) == (0, 0, 0, 0, 0)
-    assert digits(26, 3, 3) == (2, 2, 2)
+    assert CoordinateSystem(3, 3, 1).digits(5) == (2, 1, 0)  # 5 = 2 + 1*3
+    assert CoordinateSystem(4, 5, 1).digits(0) == (0, 0, 0, 0, 0)
+    assert CoordinateSystem(3, 3, 1).digits(26) == (2, 2, 2)
 
 
 def test_digits_range_check():
     with pytest.raises(ParameterError):
-        digits(27, 3, 3)
+        CoordinateSystem(3, 3, 1).digits(27)
     with pytest.raises(ParameterError):
-        digits(-1, 3, 3)
+        CoordinateSystem(3, 3, 1).digits(-1)
 
 
 def test_substitute_examples():
     # a=5=(2,1,0) base 3: replacing digit 2 with 0 gives (2,0,0)=2
-    assert substitute(5, 3, 3, [2], [0]) == 2
-    assert substitute(0, 2, 4, [1, 2], [1, 1]) == 3
+    assert CoordinateSystem(3, 3, 1).substitute(5, [2], [0]) == 2
+    assert CoordinateSystem(2, 4, 1).substitute(0, [1, 2], [1, 1]) == 3
 
 
 def test_substitute_identity():
@@ -64,8 +68,8 @@ def test_cyc_add_examples():
     for base in (2, 3, 5):
         for x in range(base):
             assert cyc_add(x, 0, base) == x
-    with pytest.raises(ParameterError):
-        cyc_add(3, 0, 3)
+    with pytest.raises(ParameterError):  # digit position outside the system
+        CoordinateSystem(3, 1, 1).shift_digits(2, [2], 0)
 
 
 @pytest.mark.parametrize("base", [2, 3, 4, 5])
@@ -76,9 +80,9 @@ def test_cyc_add_is_bijection(base):
 
 
 def test_pack_unpack_examples():
-    assert pack(6, 1, base=3, n=2, s=2) == 15
-    assert unpack(0, base=3, n=2, s=2) == Coordinate(0, 0)
-    assert unpack(23, base=2, n=3, s=3) == Coordinate(7, 2)
+    assert CoordinateSystem(3, 2, 2).pack(6, 1) == 15
+    assert CoordinateSystem(3, 2, 2).unpack(0) == Coordinate(0, 0)
+    assert CoordinateSystem(2, 3, 3).unpack(23) == Coordinate(7, 2)
 
 
 @pytest.mark.parametrize("base,n,s", [(2, 3, 3), (3, 2, 2), (3, 5, 1), (2, 8, 1), (4, 3, 6)])

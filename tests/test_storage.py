@@ -159,17 +159,36 @@ def test_repair_rejects_a_damaged_helper_shard(fault, tmp_path):
 
 
 def test_extract_names_a_corrupt_shard(tmp_path):
-    state = ingest(bytes(range(200)), c3_spec(), tmp_path / "c")
+    payload = bytes(range(200))
+    state = ingest(payload, c3_spec(), tmp_path / "c")
     path = state.shard_path(1)
     path.write_bytes(_flip_element_byte(path.read_bytes()))
     with pytest.raises(CorruptionError, match="node_01.shard"):
         extract(state)
+    # node 1 corrupt, nodes 2-6 intact: decode from the first k that verify
+    assert extract(state, skip_corrupt=True) == payload
+    # only node 6 intact with k = 2: every corrupt shard is named
+    for j in range(2, 6):
+        shard = state.shard_path(j)
+        shard.write_bytes(_flip_element_byte(shard.read_bytes()))
+    with pytest.raises(CorruptionError, match="node_01.shard.*node_05.shard"):
+        extract(state, skip_corrupt=True)
+
+
+def test_extract_reads_k_shards_when_all_verify(tmp_path, monkeypatch):
+    payload = bytes(range(200))
+    state = ingest(payload, c3_spec(), tmp_path / "c")
+    reads, real = [], storage.read_shard
+    monkeypatch.setattr(storage, "read_shard",
+                        lambda path, **kw: reads.append(path) or real(path, **kw))
+    assert extract(state, skip_corrupt=True) == payload
+    assert reads == [state.shard_path(1), state.shard_path(2)]
 
 
 def test_repair_empty_set_is_noop(tmp_path):
     state = ingest(bytes(100), c3_spec(), tmp_path / "c")
-    state, t = run_repair(state, [], [3, 4, 5, 6], (2, 4))
-    assert t.total == 0 and t.optimal
+    with pytest.raises(ParameterError, match="h=2 failed nodes, got 0"):
+        run_repair(state, [], [3, 4, 5, 6], (2, 4))
 
 
 def test_repair_validates_statuses(tmp_path):
@@ -239,6 +258,16 @@ def test_scenario_helper_count_mismatch_aborts_with_index(tmp_path):
         run_scenario(cfg, root=tmp_path / "c")
     assert exc.value.step == 2
     assert exc.value.report["steps"][-1]["op"] == "fail"
+
+
+def test_scenario_step_before_ingest_or_with_no_nodes_aborts(tmp_path):
+    base = {"family": "c3", "n": 6, "k": 2, "patterns": [[2, 4]]}
+    repair_none = {"op": "repair", "nodes": [], "helpers": [3, 4, 5, 6], "h": 2, "d": 4}
+    for steps, step, message in (([{"op": "verify"}], 0, "verify before ingest"),
+                                 ([{"op": "ingest"}, repair_none], 1, "got 0")):
+        with pytest.raises(ScenarioError, match=message) as exc:
+            run_scenario({**base, "steps": steps}, root=tmp_path / "c")
+        assert exc.value.step == step
 
 
 def test_scenario_unknown_op(tmp_path):
