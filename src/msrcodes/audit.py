@@ -91,6 +91,10 @@ def verify_transcript(transcript, spec) -> RepairTranscript:
     spec.k and ell, so the verdicts are the audit's, not the transcript's.
     """
     j = transcript if isinstance(transcript, dict) else transcript.to_json()
+    missing = [key for key in ("pattern", "failed", "helpers", "ell", "per_helper",
+                               "total", "groups") if key not in j]
+    if missing:
+        raise ParameterError(f"malformed transcript: missing {', '.join(missing)}")
     h, d = (int(x) for x in j["pattern"])
     helpers = tuple(int(x) for x in j["helpers"])
     per_helper = {int(x): int(c) for x, c in j["per_helper"].items()}

@@ -293,31 +293,16 @@ def run_repair(state: ClusterState, failed: Sequence[int], helpers: Sequence[int
     return state, transcript
 
 
-def extract(state: ClusterState, skip_corrupt: bool = False) -> bytes:
+def extract(state: ClusterState) -> bytes:
     """Decode the original payload from the first k alive shards, each checked
-    against its manifest digest, and verify the payload digest.  A corrupt
-    shard raises CorruptionError naming it; with skip_corrupt it is passed
-    over instead, and only fewer than k verified shards raise."""
+    against its manifest digest, and verify the payload digest."""
     spec = state.spec
     alive = state.alive_nodes()
     if len(alive) < spec.k:
         raise DataLossError(f"only {len(alive)} alive nodes, need {spec.k}")
-    use, cols, corrupt = [], [], []
-    for j in alive:
-        try:
-            cols.append(read_shard(state.shard_path(j), digest=state.shard_digest(j))[1]
-                        .reshape(state.blocks, spec.ell))
-            use.append(j)
-        except CorruptionError:
-            if not skip_corrupt:
-                raise
-            corrupt.append(str(state.shard_path(j)))
-        if len(use) == spec.k:
-            break
-    else:
-        raise CorruptionError(f"only {len(use)} alive shards match their digests, "
-                              f"need {spec.k}; corrupt: {', '.join(corrupt)}")
-    cols = np.stack(cols, axis=1)  # (B, k, ell)
+    use = alive[:spec.k]
+    cols = np.stack([read_shard(state.shard_path(j), digest=state.shard_digest(j))[1]
+                     .reshape(state.blocks, spec.ell) for j in use], axis=1)  # (B, k, ell)
     full = complete_columns(spec, use, cols)
     data = full[:, :spec.k, :]  # systematic nodes 1..k
     if state.manifest["mode"] == "bytes":

@@ -102,6 +102,15 @@ def test_verify_transcript_malformed():
         audit.verify_transcript({"pattern": [2, 4], "helpers": [3, 4, 5],
                                  "per_helper": {"3": 1, "4": 1, "5": 1},
                                  "total": 3, "ell": 128}, spec)
+    consistent = {"pattern": [2, 4], "helpers": [3, 4, 5, 6],
+                  "per_helper": {"3": 1, "4": 1, "5": 1, "6": 1}, "total": 4, "ell": 128}
+    with pytest.raises(ParameterError, match="missing failed, groups"):
+        audit.verify_transcript(consistent, spec)
+    whole = {**consistent, "failed": [1, 2], "groups": []}
+    with pytest.raises(ParameterError, match="helper set inconsistent"):
+        audit.verify_transcript({**whole, "helpers": [3, 4, 5, 7]}, spec)
+    with pytest.raises(ParameterError, match="do not sum to total"):
+        audit.verify_transcript({**whole, "total": 5}, spec)
 
 
 def test_table1_values_n12():
