@@ -1,6 +1,7 @@
 """Repair-bandwidth auditing: cut-set bounds, the one repair record
 (RepairTranscript, whose verdict is derived from its counts, never stored),
-its check, and the sub-packetization comparison table.
+its check, and the sub-packetization comparison table (Table 1), whose rows
+for this paper's codes are read from constructions.build.
 
 All arithmetic is exact Python-int arithmetic; the table values overflow
 64 bits almost immediately (lcm(1..6)^12 has 22 digits).
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from .constructions import build
 from .errors import ParameterError
 
 
@@ -122,44 +124,46 @@ class TableRow:
     note: str = ""
 
 
-def _pow2_divides(x: int, n: int) -> bool:
-    return x >= 1 and (x & (x - 1)) == 0 and x <= 2**n
+def _built_ell(family: str, n: int, k: int, patterns) -> Optional[int]:
+    """ell of the code build() makes, or None where the family rejects the patterns."""
+    try:
+        return build(family, n, k, patterns).ell
+    except ParameterError:
+        return None
 
 
 def table1_report(n: int, k: int, h: int, d: int) -> List[TableRow]:
     """Every known construction's exact sub-packetization for pattern (h, d).
 
-    Rows whose constraints the pattern does not meet are returned with
-    applicable=False and no value.
+    li, thm3, thm4 and cor2 are the ell of the codes build() makes; cor1 is
+    the paper's stated upper bound.  Rows whose constraints the pattern does
+    not meet are returned with applicable=False and no value.
     """
-    if not (2 <= h <= n - k):
+    if h < 2:
         raise ParameterError(f"need 2 <= h <= n-k, got h={h} (n={n}, k={k})")
-    if not (k <= d <= n - h):
-        raise ParameterError(f"need k <= d <= n-h, got d={d} (n={n}, h={h})")
+    thm3 = build("c4", n, k, [(h, d)])
+    li = _built_ell("c2", n, k, [(h, d)])
+    thm4 = _built_ell("hadamard", n, k, [(h, d)])
     r = n - k
+    every = [(hi, di) for hi in range(1, r + 1) for di in range(k, n - hi + 1)]
+    lcm_r = math.lcm(*range(1, r + 1))
     rows: List[TableRow] = []
 
     rows.append(TableRow("ye-barg", "single (h,d)", True,
                          math.lcm(*range(d - k + 1, d - k + h + 1)) ** n))
     rows.append(TableRow("ye2020", "single (h,d)", True,
                          (d - k + h) * (d - k + 1) ** n))
-    li_ok = (d - k) % h == 0
-    rows.append(TableRow("li", "single (h,d), h | (d-k)", li_ok,
-                         ((d - k + h) // h) ** n if li_ok else None,
-                         "" if li_ok else "requires h | (d-k)"))
-    delta = math.gcd(h, d - k)
-    rows.append(TableRow("thm3", "single (h,d)", True,
-                         ((d - k + h) // delta) * ((d - k + delta) // delta) ** n,
-                         f"delta={delta}"))
-    t4_ok = d > k and h % (d - k) == 0 and _pow2_divides(h // (d - k) + 1, n)
-    rows.append(TableRow("thm4", "single (h,d), (d-k) | h, h/(d-k)+1 | 2^n", t4_ok,
-                         2 ** n if t4_ok else None,
-                         "" if t4_ok else "divisibility/power-of-two constraint unmet"))
-    rows.append(TableRow("ye-barg-all", "all (h,d)", True, math.lcm(*range(1, r + 1)) ** n))
-    rows.append(TableRow("cor1", "all (h,d) with h | (d-k)", li_ok,
-                         math.lcm(*range(1, r + 1)) * r ** n if li_ok else None,
-                         "" if li_ok else "pattern outside the covered set"))
-    rows.append(TableRow("cor2", "all (h,d)", True, math.lcm(*range(1, r + 1)) * r ** n))
+    rows.append(TableRow("li", "single (h,d), h | (d-k)", bool(li), li,
+                         "" if li else "requires h | (d-k)"))
+    rows.append(TableRow("thm3", "single (h,d)", True, thm3.ell,
+                         f"delta={thm3.sorted_patterns[0].delta}"))
+    rows.append(TableRow("thm4", "single (h,d), (d-k) | h, h/(d-k)+1 | 2^n", bool(thm4),
+                         thm4, "" if thm4 else "divisibility/power-of-two constraint unmet"))
+    rows.append(TableRow("ye-barg-all", "all (h,d)", True, lcm_r ** n))
+    rows.append(TableRow("cor1", "all (h,d) with h | (d-k)", bool(li),
+                         lcm_r * r ** n if li else None,
+                         "" if li else "pattern outside the covered set"))
+    rows.append(TableRow("cor2", "all (h,d)", True, build("c4", n, k, every).ell))
     return rows
 
 

@@ -67,6 +67,8 @@ class PatternInfo:
 
 @dataclass(frozen=True)
 class CodeSpec:
+    """A validated code; only build() derives its fields, by the rule above."""
+
     family: Family
     n: int
     k: int
@@ -78,8 +80,6 @@ class CodeSpec:
     ell: int
     field: PrimeField
     lam: tuple                 # n rows of s_m distinct nonzero evaluation points
-    had_w: Optional[int] = None  # HADAMARD only: Ham(2, w) parameter
-    had_N: Optional[int] = None  # HADAMARD only: h / (d-k)
 
     @property
     def coords(self) -> CoordinateSystem:
@@ -159,11 +159,6 @@ def build(family, n: int, k: int, patterns,
         infos[-1] = replace(infos[-1], pinned=True)
     s_m = infos[-1].s
     s = math.lcm(*(pi.width for pi in infos if not pi.pinned))
-    had_w = had_N = None
-    if family is Family.HADAMARD:
-        had_N = infos[0].h // infos[0].delta
-        had_w = had_N.bit_length()
-
     ell = s * s_m**n
     floor = s_m * n + 1
     if prime is None:
@@ -179,8 +174,7 @@ def build(family, n: int, k: int, patterns,
 
     return CodeSpec(family=family, n=n, k=k, r=n - k,
                     patterns=tuple(pats), sorted_patterns=tuple(infos),
-                    s_m=s_m, s=s, ell=ell, field=fld, lam=lam,
-                    had_w=had_w, had_N=had_N)
+                    s_m=s_m, s=s, ell=ell, field=fld, lam=lam)
 
 
 # ---------------------------------------------------------------------------

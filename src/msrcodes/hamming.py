@@ -76,13 +76,3 @@ def build_partition(w: int) -> CosetPartition:
     for y in range(1 << N):
         buckets[syndrome_of(y)].add(y)
     return CosetPartition(w, N, tuple(frozenset(b) for b in buckets))
-
-
-def classify(y, N: int) -> int:
-    """Coset index of a length-N vector without materializing the partition."""
-    yi = _to_int(y)
-    if not isinstance(y, (int, np.integer)) and len(y) != N:
-        raise ParameterError(f"expected length-{N} vector")
-    if not (0 <= yi < 1 << N):
-        raise ParameterError(f"vector outside {{0,1}}^{N}")
-    return syndrome_of(yi)

@@ -8,7 +8,7 @@ stay transcribable.
 
 This module is the one home of the digit arithmetic: the encoder's point
 table and every repair-group builder go through CoordinateSystem.digit and
-CoordinateSystem.shift_digits.
+CoordinateSystem.shift_digits; digits, pack and unpack convert one index.
 """
 
 from __future__ import annotations
@@ -56,43 +56,11 @@ class CoordinateSystem:
             a //= self.base
         return tuple(out)
 
-    def from_digits(self, ds: Sequence[int]) -> int:
-        if len(ds) != self.ndigits:
-            raise ParameterError("wrong digit count")
-        a = 0
-        for i in reversed(range(self.ndigits)):
-            if not (0 <= ds[i] < self.base):
-                raise ParameterError(f"digit {ds[i]} out of range")
-            a = a * self.base + ds[i]
-        return a
-
     def digit(self, a, i: int):
         """Digit at 1-based position i; works on ints and ndarrays."""
         if not (1 <= i <= self.ndigits):
             raise ParameterError(f"position {i} outside [1, {self.ndigits}]")
         return (a // self.base ** (i - 1)) % self.base
-
-    def substitute(self, a, positions: Sequence[int], values: Sequence[int]):
-        """Replace the digits of a at the given 1-based positions with values.
-
-        Works elementwise when a is an ndarray (values may then also be
-        per-element arrays).
-        """
-        if len(positions) != len(values):
-            raise ParameterError("positions and values differ in length")
-        if len(set(positions)) != len(positions):
-            raise ParameterError("duplicate positions")
-        out = a
-        for pos, v in zip(positions, values):
-            if not (1 <= pos <= self.ndigits):
-                raise ParameterError(f"position {pos} outside [1, {self.ndigits}]")
-            if isinstance(v, np.ndarray):
-                if np.any((v < 0) | (v >= self.base)):
-                    raise ParameterError("digit value out of range")
-            elif not (0 <= v < self.base):
-                raise ParameterError(f"digit value {v} out of range")
-            out = out + (v - self.digit(out, pos)) * self.base ** (pos - 1)
-        return out
 
     def shift_digits(self, a, positions: Sequence[int], v: int):
         """Add v cyclically (mod base) to every digit of a at the given positions."""

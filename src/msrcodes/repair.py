@@ -218,12 +218,12 @@ def plan(spec: CodeSpec, failed: Sequence[int], helpers: Sequence[int],
     if spec.family is Family.HADAMARD:
         # plane pairs {a, a + 1_{P_i}} with a|_M in the Hamming coset V_0, where
         # M holds one representative position (the maximum) per P_i
-        part = build_partition(spec.had_w)
+        part = build_partition((info.h // info.delta).bit_length())  # h/(d-k) = 2^w - 1
         M = tuple(max(P) for P in partition)
         y = sum(coords.digit(a_all, pos) << gi for gi, pos in enumerate(M))
         a_base = a_all[part.class_table()[y] == 0]
         b_tables = [np.zeros((1, 2), dtype=np.int64)] * len(partition)
-        extras = {"M": M, "w": spec.had_w, "N": spec.had_N, "partition": part}
+        extras = {"M": M, "partition": part}
     elif info.pinned:
         # largest-s pattern of C1/C2: full s_m-orbits whose representative has
         # digit 0 at min(H), repeated in every block b
@@ -239,8 +239,7 @@ def plan(spec: CodeSpec, failed: Sequence[int], helpers: Sequence[int],
                  for i in range(1, len(partition) + 1)}
         a_base = a_all
         b_tables = [np.arange(u)[:, None] * wi + np.array(omega[i]) for i in omega]
-        extras = {"omega": omega, "blocks": [(mu * wi, (mu + 1) * wi - 1) for mu in range(u)],
-                  "u": u}
+        extras = {"omega": omega}
     fams = [_orbit_family(spec, i, P, H, R, a_base, b_tables[i - 1])
             for i, P in enumerate(partition, start=1)]
 

@@ -97,7 +97,10 @@ def read_shard(path: Path, log: Optional[AccessLog] = None,
     When digest is given (the manifest's SHA-256 of the file) it is checked
     first, so any damaged, truncated or misplaced shard is rejected by path.
     """
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except FileNotFoundError:
+        raise CorruptionError(f"{path}: shard file is missing") from None
     if log is not None:
         log.record(path, len(blob), category)
     if digest is not None and hashlib.sha256(blob).hexdigest() != digest:

@@ -145,6 +145,40 @@ def test_table1_parameter_validation():
         audit.table1_report(6, 2, 2, 5)   # d > n-h
 
 
+def test_table1_rows_are_the_closed_forms():
+    # table1_report reads this paper's rows from build(); the paper's closed
+    # forms are the oracle, over every (n <= 9, k, h >= 2, d) it accepts
+    cases, cor1_above = 0, []
+    for n in range(2, 10):
+        for k in range(1, n):
+            r = n - k
+            c2_all = [(hi, di) for hi in range(1, r + 1) for di in range(k, n - hi + 1)
+                      if (di - k) % hi == 0]
+            for h in range(2, r + 1):
+                for d in range(k, n - h + 1):
+                    rows = {row.source: row for row in audit.table1_report(n, k, h, d)}
+                    cases += 1
+                    delta = math.gcd(h, d - k)
+                    thm3 = ((d - k + h) // delta) * ((d - k + delta) // delta) ** n
+                    assert rows["thm3"].ell == thm3
+                    assert rows["thm3"].note == f"delta={delta}"
+                    li_ok = (d - k) % h == 0
+                    assert rows["li"].applicable is li_ok and rows["cor1"].applicable is li_ok
+                    assert rows["li"].ell == (((d - k + h) // h) ** n if li_ok else None)
+                    t4_ok = (d > k and h % (d - k) == 0
+                             and h // (d - k) + 1 in {2**i for i in range(1, n + 1)})
+                    assert rows["thm4"].applicable is t4_ok
+                    assert rows["thm4"].ell == (2**n if t4_ok else None)
+                    assert rows["cor2"].ell == math.lcm(*range(1, r + 1)) * r**n
+                    if li_ok:
+                        built = build("c2", n, k, c2_all).ell
+                        assert rows["cor1"].ell >= built
+                        cor1_above.append(rows["cor1"].ell > built)
+    assert cases == 210
+    # cor1 is an upper bound only: the pinned largest pattern leaves s
+    assert (cor1_above.count(True), cor1_above.count(False)) == (89, 24)
+
+
 def test_thm3_never_exceeds_ye2020():
     for n in range(4, 15):
         for k in range(1, n - 1):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from msrcodes import storage
 from msrcodes.cli import main
 
 
@@ -93,6 +94,23 @@ def test_repair_corrupted_helper_exits_2(tmp_path, capsys):
     assert code == 2 and "digest" in err
 
 
+def test_repair_missing_helper_shard_exits_2(tmp_path, capsys):
+    cluster = tmp_path / "cl"
+    run(capsys, "encode", "--family", "c3", "--n", "6", "--k", "2",
+        "--h", "2", "--d", "4", "--cluster", str(cluster),
+        "--random-bytes", "500", "--seed", "1")
+    run(capsys, "fail", "--cluster", str(cluster), "--nodes", "1,2")
+    (cluster / "shards" / "node_03.shard").unlink()
+    code, out, err = run(capsys, "repair", "--cluster", str(cluster),
+                         "--nodes", "1,2", "--helpers", "3,4,5,6",
+                         "--h", "2", "--d", "4")
+    assert code == 2 and out == ""
+    assert "node_03.shard: shard file is missing" in err
+    state = storage.load_cluster(cluster)
+    for j in (1, 2):
+        assert state.status(j) == "FAILED" and not state.shard_path(j).exists()
+
+
 def test_verify_mds(tmp_path, capsys):
     cluster = tmp_path / "cl"
     run(capsys, "encode", "--family", "c1", "--n", "5", "--k", "2", "--d", "3,4",
@@ -132,6 +150,14 @@ def test_table_csv(tmp_path, capsys):
     text = out_csv.read_text()
     assert str(12**12) in text and str(4 * 3**12) in text and str(2 * 2**12) in text
     assert "ye-barg" in out
+
+
+def test_table_out_of_range_names_the_constraint(capsys):
+    code, out, err = run(capsys, "table", "--n", "6", "--k", "2", "--h", "2", "--d", "5")
+    assert code == 1 and out == ""
+    assert "C4 requires k <= d <= n-h, got (h=2, d=5)" in err
+    code, out, err = run(capsys, "table", "--n", "6", "--k", "2", "--h", "1", "--d", "4")
+    assert code == 1 and "need 2 <= h <= n-k, got h=1" in err
 
 
 def test_selftest(capsys):

@@ -11,6 +11,7 @@ from msrcodes.constructions import (assign_lambda, build, encode,
                                     spec_from_manifest, verify_planes)
 from msrcodes.errors import ParameterError
 from msrcodes.field import PrimeField
+from msrcodes.repair import plan
 
 
 def all_patterns(n, k):
@@ -43,7 +44,8 @@ def test_build_c3_example():
 
 def test_build_hadamard_example():
     spec = build("hadamard", 8, 4, [(3, 5)])
-    assert spec.had_w == 2 and spec.had_N == 3
+    part = plan(spec, [1, 2, 3], [4, 5, 6, 7, 8], (3, 5)).extras["partition"]
+    assert part.w == 2 and part.N == 3  # Ham(2, w) with N = h/(d-k)
     assert spec.ell == 256 and spec.s == 1 and spec.s_m == 2
     assert spec.field.p == 17  # > 2n = 16
 

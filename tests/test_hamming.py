@@ -1,7 +1,7 @@
 import pytest
 
 from msrcodes.errors import ParameterError
-from msrcodes.hamming import build_partition, classify, syndrome_of
+from msrcodes.hamming import build_partition, syndrome_of
 
 
 def bits(value, n):
@@ -76,7 +76,6 @@ def test_class_table_matches_classify():
     table = part.class_table()
     for y in range(1 << part.N):
         assert table[y] == part.classify(y)
-    assert classify(5, part.N) == part.classify(5)
 
 
 def test_classify_vector_and_int_agree():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -326,3 +328,21 @@ def test_step2_schedule_nonempty_for_multi_family():
     assert len(sched) == 2 * 64  # two other families, 64 groups each
     tau, fam_idx, g, subs = sched[0]
     assert fam_idx in (2, 3) and len(subs) == 1
+
+
+@pytest.mark.parametrize("family, n, k", [("c2", 5, 2), ("c2", 6, 2), ("c4", 5, 2), ("c4", 6, 3)])
+def test_one_code_repairs_every_pattern_optimally(family, n, k):
+    # the abstract's claim: one code meets the cut-set bound for all its
+    # patterns at once; every failed set of every pattern, one seeded helper set
+    pats = [(h, d) for h, d in all_patterns(n, k) if family == "c4" or (d - k) % h == 0]
+    spec = build(family, n, k, pats)
+    rng = np.random.default_rng(10 * n + k)
+    cw = encode(spec, random_data(spec, rng))
+    for h, d in pats:
+        for H in itertools.combinations(range(1, n + 1), h):
+            rest = [j for j in range(1, n + 1) if j not in H]
+            R = sorted(rng.choice(rest, size=d, replace=False).tolist())
+            restored, t = repair_from_codeword(plan(spec, H, R, (h, d)), cw.columns)
+            assert t.total == t.gamma == d * h * spec.ell // (d - k + h) and t.uniform
+            for j in H:
+                assert np.array_equal(restored[j], cw.column(j)), (h, d, H, R)

@@ -166,6 +166,13 @@ def test_extract_names_a_corrupt_shard(tmp_path):
         extract(state)
 
 
+def test_extract_names_a_missing_shard(tmp_path):
+    state = ingest(bytes(range(200)), c3_spec(), tmp_path / "c")
+    state.shard_path(1).unlink()
+    with pytest.raises(CorruptionError, match="node_01.shard: shard file is missing"):
+        extract(state)
+
+
 def test_repair_empty_set_is_noop(tmp_path):
     state = ingest(bytes(100), c3_spec(), tmp_path / "c")
     with pytest.raises(ParameterError, match="h=2 failed nodes, got 0"):
