@@ -17,8 +17,8 @@ its own constraints:
   C3        exactly one pattern, h >= 2 and d > k
   C4        none
   HADAMARD  exactly one pattern, d > k, (d-k) | h and h/(d-k)+1 a power of
-            two no larger than 2^n; its pattern has delta = d-k, s_i = 2 and
-            width 1, so s_m = 2, s = 1 and ell = 2^n
+            two; its pattern has delta = d-k, s_i = 2 and width 1, so s_m = 2,
+            s = 1 and ell = 2^n
 
 A pinned pattern is the largest-s pattern of C1 or C2: its repair fixes the
 digit at min(H) instead of spreading over b-blocks, so it needs no share of
@@ -30,14 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from .errors import ParameterError
 from .field import PrimeField, next_prime
-from .grs import solve_vandermonde, syndrome_rhs
+from .grs import slices, solve_vandermonde, syndrome_rhs
 from .mixedradix import CoordinateSystem
 
 LAMBDA_RULE = "row-consecutive-v1"  # lambda_{i,j} = (i-1)*s_m + j + 1
@@ -128,8 +127,6 @@ def _pattern_info(family: Family, n: int, k: int, h: int, d: int) -> PatternInfo
         N = h // (d - k)
         if (N + 1) & N:  # power-of-two test on N+1
             raise ParameterError(f"HADAMARD requires h/(d-k)+1 to be a power of two, got {N + 1}")
-        if N.bit_length() > n:
-            raise ParameterError(f"HADAMARD requires h/(d-k)+1 <= 2^n, got {N + 1} > 2^{n}")
         return PatternInfo(h, d, d - k, 2, 1)
     delta = math.gcd(h, d - k)
     return PatternInfo(h, d, delta, (d - k + delta) // delta, (d - k + h) // delta)
@@ -191,19 +188,16 @@ class Codeword:
         return self.columns[j - 1]
 
 
-@lru_cache(maxsize=32)
-def _digit_matrix(s_m: int, n: int) -> np.ndarray:
-    """digits[j-1, a] = j-th digit of a, for all a in [0, s_m^n)."""
-    coords = CoordinateSystem(s_m, n, 1)
-    a = np.arange(coords.a_count, dtype=np.int64)
-    return np.stack([coords.digit(a, j) for j in range(1, n + 1)])
+def plane_points(spec: CodeSpec, nodes: Sequence[int], a0: int, a1: int) -> np.ndarray:
+    """points[a - a0, i] = lambda_{nodes[i], a_{nodes[i]}} for a in [a0, a1)."""
+    coords, lam = spec.coords, spec.lam_array()
+    a = np.arange(a0, a1, dtype=np.int64)
+    return np.stack([lam[j - 1, coords.digit(a, j)] for j in nodes], axis=1)
 
 
 def node_point_matrix(spec: CodeSpec) -> np.ndarray:
     """points[j-1, a] = lambda_{j, a_j}; shape (n, s_m^n)."""
-    digs = _digit_matrix(spec.s_m, spec.n)
-    lam = spec.lam_array()
-    return lam[np.arange(spec.n)[:, None], digs]
+    return plane_points(spec, range(1, spec.n + 1), 0, spec.s_m**spec.n).T
 
 
 def complete_columns(spec: CodeSpec, known_nodes: Sequence[int],
@@ -226,26 +220,22 @@ def complete_columns(spec: CodeSpec, known_nodes: Sequence[int],
     B = known.shape[0]
     if known.shape[1:] != (k, spec.ell):
         raise ParameterError(f"expected data shape (k={k}, ell={spec.ell})")
-    known = known % spec.field.p
-
-    order = sorted(range(k), key=lambda i: nodes[i])
-    nodes_sorted = [nodes[i] for i in order]
-    erased = [j for j in range(1, n + 1) if j not in set(nodes_sorted)]
-    A, S = spec.s_m**spec.n, spec.s
-    pts = node_point_matrix(spec)  # (n, A)
-    known_pts = pts[[j - 1 for j in nodes_sorted]].T.copy()   # (A, k)
-    erased_pts = pts[[j - 1 for j in erased]].T.copy()        # (A, r)
-
-    # column layout: tau = b*A + a  ->  (S, A)
-    vals = known[:, order].reshape(B, k, S, A).transpose(3, 1, 0, 2).reshape(A, k, B * S)
-    rhs = syndrome_rhs(spec.field, known_pts, vals, r)        # (A, r, B*S)
-    x = solve_vandermonde(spec.field, erased_pts, rhs)        # (A, r, B*S)
 
     out = np.empty((B, n, spec.ell), dtype=np.int64)
-    for rank, j in enumerate(nodes_sorted):
-        out[:, j - 1] = known[:, order[rank]]
-    for rank, j in enumerate(erased):
-        out[:, j - 1] = x[:, rank, :].reshape(A, B, S).transpose(1, 2, 0).reshape(B, spec.ell)
+    for i, j in enumerate(nodes):
+        np.remainder(known[:, i], spec.field.p, out=out[:, j - 1])
+    kept = sorted(nodes)
+    erased = [j for j in range(1, n + 1) if j not in nodes]
+    A, S = spec.s_m**spec.n, spec.s
+    # column layout: tau = b*A + a  ->  (B, n, S, A), a view of out
+    planes = out.reshape(B, n, S, A)
+    rows = [j - 1 for j in kept]
+    for a0, a1 in slices(A, n * B * S):
+        vals = planes[:, rows, :, a0:a1].transpose(3, 1, 0, 2).reshape(a1 - a0, k, B * S)
+        rhs = syndrome_rhs(spec.field, plane_points(spec, kept, a0, a1), vals, r)
+        x = solve_vandermonde(spec.field, plane_points(spec, erased, a0, a1), rhs)
+        for rank, j in enumerate(erased):
+            planes[:, j - 1, :, a0:a1] = x[:, rank, :].reshape(a1 - a0, B, S).transpose(1, 2, 0)
     return out
 
 
@@ -270,17 +260,20 @@ def mds_reconstruct(spec: CodeSpec, surviving_nodes: Sequence[int],
 
 def verify_planes(spec: CodeSpec, columns: np.ndarray) -> bool:
     """True iff every plane of (n, ell) or (B, n, ell) columns has zero syndromes."""
-    cols = np.asarray(columns, dtype=np.int64) % spec.field.p
+    cols = np.asarray(columns, dtype=np.int64)
     if cols.ndim == 2:
         cols = cols[None]
     B = cols.shape[0]
     if cols.shape[1:] != (spec.n, spec.ell):
         raise ParameterError("column array shape mismatch")
-    A, S = spec.s_m**spec.n, spec.s
-    pts = node_point_matrix(spec).T.copy()  # (A, n)
-    vals = cols.reshape(B, spec.n, S, A).transpose(3, 1, 0, 2).reshape(A, spec.n, B * S)
-    synd = syndrome_rhs(spec.field, pts, vals, spec.r)
-    return not np.any(synd)
+    n, A, S = spec.n, spec.s_m**spec.n, spec.s
+    planes = cols.reshape(B, n, S, A)
+    for a0, a1 in slices(A, n * B * S):
+        vals = planes[..., a0:a1].transpose(3, 1, 0, 2).reshape(a1 - a0, n, B * S) % spec.field.p
+        if np.any(syndrome_rhs(spec.field, plane_points(spec, range(1, n + 1), a0, a1),
+                               vals, spec.r)):
+            return False
+    return True
 
 
 def random_data(spec: CodeSpec, rng: np.random.Generator, blocks: Optional[int] = None) -> np.ndarray:

@@ -9,7 +9,9 @@ CorruptionError.
 The batched kernels at the bottom solve many independent Vandermonde systems
 at once (one per plane or repair group) on stacked int64 arrays.  Elimination
 needs no pivoting: every leading minor of a Vandermonde matrix on distinct
-points is itself a Vandermonde determinant, hence nonzero.
+points is itself a Vandermonde determinant, hence nonzero.  Callers run them
+over the slices of `slices`, so their temporaries stay near SLICE_BUDGET
+elements however many planes or groups a code has.
 """
 
 from __future__ import annotations
@@ -116,6 +118,22 @@ def systematic_extend(field: PrimeField, points: Sequence[int], r: int,
 # ---------------------------------------------------------------------------
 # batched kernels
 # ---------------------------------------------------------------------------
+
+# Elements per kernel temporary (int64, so 2 MiB).  Unsliced, one 18 MiB
+# c1(10,6,{(1,8),(1,9)}) block built about 1 GB of temporaries.  On a 2-vCPU
+# VM, encode time was flat for budgets 2^14..2^20, and 2^18 beat 2^16 on every
+# cluster-benchmark throughput (a 1 MiB cluster has 4096 blocks, so a 2^16
+# slice holds only one or two planes or groups).
+SLICE_BUDGET = 1 << 18
+
+
+def slices(count: int, per_item: int):
+    """(start, stop) pairs covering range(count), each holding as many items
+    as fit SLICE_BUDGET elements at per_item elements each, and at least one."""
+    step = max(1, SLICE_BUDGET // max(1, per_item))
+    for start in range(0, count, step):
+        yield start, min(start + step, count)
+
 
 def solve_vandermonde(field: PrimeField, points: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve sum_i points[g,i]^t * x[g,i] = rhs[g,t] for t in [0,e) per group g.

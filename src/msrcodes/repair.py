@@ -40,7 +40,7 @@ import numpy as np
 from . import audit
 from .constructions import CodeSpec, Family
 from .errors import ParameterError
-from .grs import solve_vandermonde, syndrome_rhs
+from .grs import slices, solve_vandermonde, syndrome_rhs
 from .hamming import build_partition
 from .mixedradix import Coordinate
 
@@ -294,21 +294,24 @@ def repair_columns(plan_: RepairPlan, payload_matrix: np.ndarray) -> np.ndarray:
     node_row = {j: i for i, j in enumerate(plan_.failed)}
 
     sums = {}
-    for fam, start, stop in plan_.family_slices():
-        vals = payload_matrix[:, :, start:stop].transpose(2, 0, 1)  # (G, d, B)
-        known_pts = fam.points[:, fam.known_slots]
-        rhs = syndrome_rhs(spec.field, known_pts, vals, spec.r)     # (G, r, B)
-        x = solve_vandermonde(spec.field, fam.points[:, fam.erased_slots], rhs)
-        for (node, w), rank in fam.member_ranks.items():
-            restored[node_row[node]][:, fam.agg_tau[:, w]] = x[:, rank, :].T
-        for node, rank in fam.failed_sum_ranks.items():
-            sums[(fam.index, node)] = x[:, rank, :]                 # (G, B)
+    for fam, start, _ in plan_.family_slices():
+        for node in fam.failed_sum_ranks:
+            sums[(fam.index, node)] = np.empty((B, fam.group_count), dtype=np.int64)
+        for g0, g1 in slices(fam.group_count, fam.word_length * B):
+            vals = payload_matrix[:, :, start + g0:start + g1].transpose(2, 0, 1)  # (g, d, B)
+            pts = fam.points[g0:g1]
+            rhs = syndrome_rhs(spec.field, pts[:, fam.known_slots], vals, spec.r)  # (g, r, B)
+            x = solve_vandermonde(spec.field, pts[:, fam.erased_slots], rhs)
+            for (node, w), rank in fam.member_ranks.items():
+                restored[node_row[node]][:, fam.agg_tau[g0:g1, w]] = x[:, rank, :].T
+            for node, rank in fam.failed_sum_ranks.items():
+                sums[(fam.index, node)][:, g0:g1] = x[:, rank, :].T
 
     # step 2: no download; peel the recovered sums with already-known symbols
     for fam in plan_.families:
         for node in fam.failed_sum_ranks:
             row = restored[node_row[node]]
-            acc = sums[(fam.index, node)].T                          # (B, G)
+            acc = sums[(fam.index, node)]                            # (B, G)
             if fam.width > 1:
                 acc = (acc - row[:, fam.agg_tau[:, :-1]].sum(axis=-1)) % p
             row[:, fam.agg_tau[:, -1]] = acc % p
