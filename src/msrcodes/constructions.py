@@ -188,16 +188,23 @@ class Codeword:
         return self.columns[j - 1]
 
 
-def plane_points(spec: CodeSpec, nodes: Sequence[int], a0: int, a1: int) -> np.ndarray:
-    """points[a - a0, i] = lambda_{nodes[i], a_{nodes[i]}} for a in [a0, a1)."""
+def node_points(spec: CodeSpec, nodes: Sequence[int], a) -> np.ndarray:
+    """points[i, ...] = lambda_{nodes[i], a_{nodes[i]}} for plane indices a
+    of any shape; shape (len(nodes),) + a.shape.
+
+    The one place a (node, plane) pair becomes its evaluation point.
+    """
     coords, lam = spec.coords, spec.lam_array()
-    a = np.arange(a0, a1, dtype=np.int64)
-    return np.stack([lam[j - 1, coords.digit(a, j)] for j in nodes], axis=1)
+    a = np.asarray(a, dtype=np.int64)
+    out = np.empty((len(nodes),) + a.shape, dtype=np.int64)
+    for i, j in enumerate(nodes):
+        out[i] = lam[j - 1, coords.digit(a, j)]
+    return out
 
 
 def node_point_matrix(spec: CodeSpec) -> np.ndarray:
     """points[j-1, a] = lambda_{j, a_j}; shape (n, s_m^n)."""
-    return plane_points(spec, range(1, spec.n + 1), 0, spec.s_m**spec.n).T
+    return node_points(spec, range(1, spec.n + 1), np.arange(spec.s_m**spec.n))
 
 
 def complete_columns(spec: CodeSpec, known_nodes: Sequence[int],
@@ -232,8 +239,11 @@ def complete_columns(spec: CodeSpec, known_nodes: Sequence[int],
     rows = [j - 1 for j in kept]
     for a0, a1 in slices(A, n * B * S):
         vals = planes[:, rows, :, a0:a1].transpose(3, 1, 0, 2).reshape(a1 - a0, k, B * S)
-        rhs = syndrome_rhs(spec.field, plane_points(spec, kept, a0, a1), vals, r)
-        x = solve_vandermonde(spec.field, plane_points(spec, erased, a0, a1), rhs)
+        # (planes, nodes) points in C order, like vals: on a 2-vCPU VM the bare
+        # transpose ran 1 MiB cluster encodes ~6% slower (c1(10,6) ~20% faster)
+        a = np.arange(a0, a1)
+        rhs = syndrome_rhs(spec.field, np.ascontiguousarray(node_points(spec, kept, a).T), vals, r)
+        x = solve_vandermonde(spec.field, np.ascontiguousarray(node_points(spec, erased, a).T), rhs)
         for rank, j in enumerate(erased):
             planes[:, j - 1, :, a0:a1] = x[:, rank, :].reshape(a1 - a0, B, S).transpose(1, 2, 0)
     return out
@@ -270,8 +280,9 @@ def verify_planes(spec: CodeSpec, columns: np.ndarray) -> bool:
     planes = cols.reshape(B, n, S, A)
     for a0, a1 in slices(A, n * B * S):
         vals = planes[..., a0:a1].transpose(3, 1, 0, 2).reshape(a1 - a0, n, B * S) % spec.field.p
-        if np.any(syndrome_rhs(spec.field, plane_points(spec, range(1, n + 1), a0, a1),
-                               vals, spec.r)):
+        a = np.arange(a0, a1)
+        pts = np.ascontiguousarray(node_points(spec, range(1, n + 1), a).T)
+        if np.any(syndrome_rhs(spec.field, pts, vals, spec.r)):
             return False
     return True
 

@@ -12,6 +12,10 @@ assemble a [d+r, d] GRS word:
 Helpers transmit their sum slot (one field element per group); the word then
 has exactly r erasures (the member symbols, the sums of the other failed
 nodes, and the sums of idle nodes) and is solved by Vandermonde elimination.
+A plan stores only each group's aggregation coordinates (agg_tau); the solve
+looks up every slot's evaluation point with constructions.node_points, slice
+by slice, in one fixed order: known slots are the helpers ascending; erased
+slots are the members' (j, w) slots, then the other non-helpers ascending.
 Families with more than one member set (C3, C4, Hadamard) run a second,
 download-free step: each remaining coordinate of a failed node equals its
 recovered group sum minus symbols already known from step 1.
@@ -38,11 +42,10 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import audit
-from .constructions import CodeSpec, Family
+from .constructions import CodeSpec, Family, node_points
 from .errors import ParameterError
 from .grs import slices, solve_vandermonde, syndrome_rhs
 from .hamming import build_partition
-from .mixedradix import Coordinate
 
 
 @dataclass
@@ -53,27 +56,11 @@ class GroupFamily:
     members: tuple            # P_i, ascending node ids
     width: int                # symbols recovered per member per group
     agg_tau: np.ndarray       # (G, width) packed aggregation coordinates
-    points: np.ndarray        # (G, L) evaluation points per slot
     others: tuple             # nodes outside P, ascending
-    known_slots: np.ndarray   # slot indices of the d helper sums
-    erased_slots: np.ndarray  # slot indices of the r erasures (ascending)
-    member_ranks: dict        # (node, w) -> column of the solve output
-    failed_sum_ranks: dict    # failed node outside P -> column of the solve output
 
     @property
     def group_count(self) -> int:
         return self.agg_tau.shape[0]
-
-    @property
-    def word_length(self) -> int:
-        return self.points.shape[1]
-
-    def agg_coords(self, g: int, coords) -> list:
-        return [Coordinate(*coords.unpack(int(t))) for t in self.agg_tau[g]]
-
-    def unknown_symbol_slots(self, g: int, coords) -> list:
-        cs = self.agg_coords(g, coords)
-        return [(j, cs[w]) for j in self.members for w in range(self.width)]
 
 
 @dataclass
@@ -93,31 +80,12 @@ class RepairPlan:
     def group_count(self) -> int:
         return sum(f.group_count for f in self.families)
 
-    def family_slices(self) -> list:
-        """(family, start, stop) offsets into the flat payload ordering."""
-        out, off = [], 0
-        for fam in self.families:
-            out.append((fam, off, off + fam.group_count))
-            off += fam.group_count
-        return out
-
     def step1_taus(self, node: int) -> np.ndarray:
         """Packed coordinates of node recovered by its own family's solves."""
         for fam in self.families:
             if node in fam.members:
                 return fam.agg_tau.ravel()
         raise ParameterError(f"node {node} is not failed")
-
-    def step2_schedule(self, node: int):
-        """(target tau, source family index, group, subtraction taus) per entry."""
-        out = []
-        for fam in self.families:
-            if node in fam.members or node not in self.failed:
-                continue
-            for g in range(fam.group_count):
-                out.append((int(fam.agg_tau[g, -1]), fam.index, g,
-                            [int(t) for t in fam.agg_tau[g, :-1]]))
-        return out
 
 
 @dataclass
@@ -130,49 +98,25 @@ class HelperPayload:
 # family builder
 # ---------------------------------------------------------------------------
 
-def _make_family(spec: CodeSpec, index: int, members: tuple, failed: tuple,
-                 helpers: tuple, agg_tau: np.ndarray) -> GroupFamily:
+def _make_family(spec: CodeSpec, index: int, members: tuple, helpers: tuple,
+                 agg_tau: np.ndarray) -> GroupFamily:
     n, r, d = spec.n, spec.r, len(helpers)
-    coords = spec.coords
-    lam = spec.lam_array()
-    G, W = agg_tau.shape
-    others = tuple(j for j in range(1, n + 1) if j not in members)
-    L = len(members) * W + len(others)
+    W = agg_tau.shape[1]
     if len(members) * W + n - len(members) - d != r:
         raise ParameterError("group shape incompatible with pattern (internal)")
-
-    points = np.empty((G, L), dtype=np.int64)
-    agg_a = agg_tau % coords.a_count
-    for mi, j in enumerate(members):
-        for w in range(W):
-            points[:, mi * W + w] = lam[j - 1, coords.digit(agg_a[:, w], j)]
-    for oi, j in enumerate(others):
-        points[:, len(members) * W + oi] = lam[j - 1, coords.digit(agg_a[:, 0], j)]
-    # d + r distinct points per group (spec structural invariant)
-    srt = np.sort(points, axis=1)
-    if np.any(srt[:, 1:] == srt[:, :-1]):
-        raise ParameterError("repeated evaluation point in a repair group (internal)")
-
-    helper_set = set(helpers)
-    known = [len(members) * W + oi for oi, j in enumerate(others) if j in helper_set]
-    erased = [s for s in range(L) if s not in set(known)]
-    member_ranks, failed_sum_ranks = {}, {}
-    for rank, slot in enumerate(erased):
-        if slot < len(members) * W:
-            member_ranks[(members[slot // W], slot % W)] = rank
-        else:
-            j = others[slot - len(members) * W]
-            if j in failed:
-                failed_sum_ranks[j] = rank
+    # d + r distinct points per group: the lam entries are distinct, so this
+    # holds iff each member's W digits differ within every group
+    agg_a = agg_tau % spec.coords.a_count
+    for j in members:
+        digits = np.sort(spec.coords.digit(agg_a, j), axis=1)
+        if np.any(digits[:, 1:] == digits[:, :-1]):
+            raise ParameterError("repeated evaluation point in a repair group (internal)")
+    others = tuple(j for j in range(1, n + 1) if j not in members)
     return GroupFamily(index=index, members=members, width=W, agg_tau=agg_tau,
-                       points=points, others=others,
-                       known_slots=np.array(known, dtype=np.int64),
-                       erased_slots=np.array(erased, dtype=np.int64),
-                       member_ranks=member_ranks,
-                       failed_sum_ranks=failed_sum_ranks)
+                       others=others)
 
 
-def _orbit_family(spec: CodeSpec, index: int, P: tuple, H: tuple, R: tuple,
+def _orbit_family(spec: CodeSpec, index: int, P: tuple, R: tuple,
                   a_base: np.ndarray, b_table: np.ndarray) -> GroupFamily:
     """The family whose groups are digit-shift orbits of the planes a_base.
 
@@ -185,7 +129,7 @@ def _orbit_family(spec: CodeSpec, index: int, P: tuple, H: tuple, R: tuple,
     W = b_table.shape[1]
     shifted = np.stack([coords.shift_digits(a_base, P, v) for v in range(W)], axis=1)
     agg_tau = (b_table[:, None, :] * coords.a_count + shifted[None]).reshape(-1, W)
-    return _make_family(spec, index, P, H, R, agg_tau)
+    return _make_family(spec, index, P, R, agg_tau)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +184,7 @@ def plan(spec: CodeSpec, failed: Sequence[int], helpers: Sequence[int],
         a_base = a_all
         b_tables = [np.arange(u)[:, None] * wi + np.array(omega[i]) for i in omega]
         extras = {"omega": omega}
-    fams = [_orbit_family(spec, i, P, H, R, a_base, b_tables[i - 1])
+    fams = [_orbit_family(spec, i, P, R, a_base, b_tables[i - 1])
             for i, P in enumerate(partition, start=1)]
 
     per_helper = sum(f.group_count for f in fams)
@@ -288,33 +232,39 @@ def _payload_matrix(plan_: RepairPlan, payloads) -> np.ndarray:
 def repair_columns(plan_: RepairPlan, payload_matrix: np.ndarray) -> np.ndarray:
     """Solve all groups and run the subtraction step; returns (h, B, ell)."""
     spec = plan_.spec
-    p = spec.field.p
+    p, A = spec.field.p, spec.coords.a_count
     B = payload_matrix.shape[1]
     restored = np.zeros((len(plan_.failed), B, spec.ell), dtype=np.int64)
     node_row = {j: i for i, j in enumerate(plan_.failed)}
 
-    sums = {}
-    for fam, start, _ in plan_.family_slices():
-        for node in fam.failed_sum_ranks:
-            sums[(fam.index, node)] = np.empty((B, fam.group_count), dtype=np.int64)
-        for g0, g1 in slices(fam.group_count, fam.word_length * B):
+    sums, start = [], 0
+    for fam in plan_.families:
+        erased_others = tuple(j for j in fam.others if j not in plan_.helpers)
+        M = len(fam.members) * fam.width
+        fam_sums = {j: np.empty((B, fam.group_count), dtype=np.int64)
+                    for j in erased_others if j in node_row}
+        for g0, g1 in slices(fam.group_count, (len(plan_.helpers) + spec.r) * B):
             vals = payload_matrix[:, :, start + g0:start + g1].transpose(2, 0, 1)  # (g, d, B)
-            pts = fam.points[g0:g1]
-            rhs = syndrome_rhs(spec.field, pts[:, fam.known_slots], vals, spec.r)  # (g, r, B)
-            x = solve_vandermonde(spec.field, pts[:, fam.erased_slots], rhs)
-            for (node, w), rank in fam.member_ranks.items():
-                restored[node_row[node]][:, fam.agg_tau[g0:g1, w]] = x[:, rank, :].T
-            for node, rank in fam.failed_sum_ranks.items():
-                sums[(fam.index, node)][:, g0:g1] = x[:, rank, :].T
+            a = fam.agg_tau[g0:g1].T % A                                          # (W, g)
+            known = node_points(spec, plan_.helpers, a[0]).T
+            erased = np.concatenate([node_points(spec, fam.members, a).reshape(M, g1 - g0),
+                                     node_points(spec, erased_others, a[0])]).T
+            x = solve_vandermonde(spec.field, erased, syndrome_rhs(spec.field, known, vals, spec.r))
+            for m, j in enumerate(fam.members):
+                for w in range(fam.width):
+                    restored[node_row[j]][:, fam.agg_tau[g0:g1, w]] = x[:, m * fam.width + w, :].T
+            for i, j in enumerate(erased_others):
+                if j in fam_sums:
+                    fam_sums[j][:, g0:g1] = x[:, M + i, :].T
+        sums += [(fam, j, acc) for j, acc in fam_sums.items()]
+        start += fam.group_count
 
     # step 2: no download; peel the recovered sums with already-known symbols
-    for fam in plan_.families:
-        for node in fam.failed_sum_ranks:
-            row = restored[node_row[node]]
-            acc = sums[(fam.index, node)]                            # (B, G)
-            if fam.width > 1:
-                acc = (acc - row[:, fam.agg_tau[:, :-1]].sum(axis=-1)) % p
-            row[:, fam.agg_tau[:, -1]] = acc % p
+    for fam, j, acc in sums:
+        row = restored[node_row[j]]
+        if fam.width > 1:
+            acc = (acc - row[:, fam.agg_tau[:, :-1]].sum(axis=-1)) % p
+        row[:, fam.agg_tau[:, -1]] = acc % p
     return restored
 
 

@@ -105,6 +105,8 @@ def read_shard(path: Path, log: Optional[AccessLog] = None,
         log.record(path, len(blob), category)
     if digest is not None and hashlib.sha256(blob).hexdigest() != digest:
         raise CorruptionError(f"{path}: shard digest does not match the manifest")
+    if len(blob) < HEADER_SIZE:
+        raise CorruptionError(f"{path}: shard is shorter than its {HEADER_SIZE}-byte header")
     magic, version, node, n, k, tag, count, p = HEADER.unpack(blob[:HEADER_SIZE])
     if magic != MAGIC or version != VERSION:
         raise CorruptionError(f"{path}: bad shard magic/version")

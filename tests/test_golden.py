@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from msrcodes.cli import main
-from msrcodes.constructions import build
+from msrcodes.constructions import build, node_points
 from msrcodes.repair import plan
 from msrcodes.storage import fail_nodes, ingest, run_repair
 
@@ -110,12 +110,20 @@ def _layout_digest(arrays) -> str:
     return outer.hexdigest()
 
 
+def _slot_points(spec, fam) -> np.ndarray:
+    """(G, d+r) evaluation points in slot order: the members' width slots,
+    then the nodes outside the member set, ascending."""
+    a = fam.agg_tau.T % spec.coords.a_count
+    members = node_points(spec, fam.members, a).reshape(-1, fam.group_count)
+    return np.concatenate([members, node_points(spec, fam.others, a[0])]).T
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
 def test_plan_layout_is_pinned(name):
     family, n, k, patterns, failed, helpers, pattern, tau_digest, pts_digest = GOLDEN_PLANS[name]
     pl = plan(build(family, n, k, patterns), failed, helpers, pattern)
     assert _layout_digest(f.agg_tau for f in pl.families) == tau_digest
-    assert _layout_digest(f.points for f in pl.families) == pts_digest
+    assert _layout_digest(_slot_points(pl.spec, f) for f in pl.families) == pts_digest
 
 
 def test_seeded_symbol_ingest_shards_are_pinned(tmp_path):

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from msrcodes.constructions import build, encode, random_data
+from msrcodes.constructions import build, encode, node_points, random_data
 from msrcodes.errors import ParameterError
+from msrcodes.mixedradix import CoordinateSystem
 from msrcodes.repair import (HelperPayload, center_repair, helper_aggregate,
                              plan, repair_from_codeword)
 
@@ -84,11 +85,16 @@ def test_group_words_have_r_erasures_and_distinct_points(family, n, k, pats, H, 
     h, d = pattern
     assert pl.per_helper == h * spec.ell // (d - k + h)
     for fam in pl.families:
-        assert fam.word_length == d + spec.r
-        assert len(fam.erased_slots) == spec.r
-        assert len(fam.known_slots) == d
+        # slot order: the members' width slots, then the others ascending
+        a = fam.agg_tau.T % spec.coords.a_count
+        table = np.concatenate([node_points(spec, fam.members, a).reshape(-1, fam.group_count),
+                                node_points(spec, fam.others, a[0])]).T
+        slots = [j for j in fam.members for _ in range(fam.width)] + list(fam.others)
+        assert table.shape == (fam.group_count, d + spec.r)
+        assert sum(j not in R for j in slots) == spec.r
+        assert sum(j in R for j in slots) == d
         for g in range(fam.group_count):
-            row = fam.points[g]
+            row = table[g]
             assert len(set(row.tolist())) == len(row)
             taus = fam.agg_tau[g]
             assert len(set(taus.tolist())) == len(taus)
@@ -307,27 +313,12 @@ def test_transcript_json_schema():
     assert j["groups"][0]["erasures_per_group"] == spec.r
 
 
-def test_plan_group_descriptor_views():
-    spec = build("c3", 6, 2, [(2, 4)])
-    pl = plan(spec, [1, 2], [3, 4, 5, 6], (2, 4))
-    fam = pl.families[0]
-    cs = spec.coords
-    coords = fam.agg_coords(0, cs)
-    assert len(coords) == fam.width
-    slots = fam.unknown_symbol_slots(0, cs)
-    assert len(slots) == len(fam.members) * fam.width
-    assert all(node in fam.members for node, _ in slots)
-    # step-2 schedule is empty for a single-family plan
-    assert pl.step2_schedule(1) == []
-
-
-def test_step2_schedule_nonempty_for_multi_family():
-    spec = build("hadamard", 8, 4, [(3, 5)])
-    pl = plan(spec, [1, 2, 3], [4, 5, 6, 7, 8], (3, 5))
-    sched = pl.step2_schedule(1)
-    assert len(sched) == 2 * 64  # two other families, 64 groups each
-    tau, fam_idx, g, subs = sched[0]
-    assert fam_idx in (2, 3) and len(subs) == 1
+def test_plan_rejects_a_group_that_repeats_a_member_digit(monkeypatch):
+    # an orbit builder that ignores its shift puts the same plane, hence the
+    # same member digits and evaluation points, in every slot of a group
+    monkeypatch.setattr(CoordinateSystem, "shift_digits", lambda self, a, positions, v: a)
+    with pytest.raises(ParameterError, match="repeated evaluation point in a repair group"):
+        plan(build("c3", 6, 2, [(2, 4)]), [1, 2], [3, 4, 5, 6], (2, 4))
 
 
 @pytest.mark.parametrize("family, n, k", [("c2", 5, 2), ("c2", 6, 2), ("c4", 5, 2), ("c4", 6, 3)])

@@ -173,6 +173,14 @@ def test_extract_names_a_missing_shard(tmp_path):
         extract(state)
 
 
+@pytest.mark.parametrize("blob", [b"", b"MSR1\x01\x00"], ids=["empty", "partial-header"])
+def test_read_shard_names_a_file_shorter_than_the_header(blob, tmp_path):
+    path = tmp_path / "node_01.shard"
+    path.write_bytes(blob)
+    with pytest.raises(CorruptionError, match="node_01.shard: shard is shorter than"):
+        storage.read_shard(path)
+
+
 def test_repair_empty_set_is_noop(tmp_path):
     state = ingest(bytes(100), c3_spec(), tmp_path / "c")
     with pytest.raises(ParameterError, match="h=2 failed nodes, got 0"):

@@ -74,7 +74,7 @@ def test_group_slices_do_not_change_repairs(monkeypatch, name, failed, helpers, 
 
     # one group per slice, then a step that divides no family's group count;
     # a group holds (d+r)*blocks kernel elements
-    per_group = pl.families[0].word_length * BLOCKS
+    per_group = (len(helpers) + spec.r) * BLOCKS
     step = next(s for s in range(2, 100) if all(fam.group_count % s for fam in pl.families))
     for budget in (1, step * per_group):
         monkeypatch.setattr(grs, "SLICE_BUDGET", budget)
@@ -101,3 +101,17 @@ def test_encode_working_set_stays_near_the_slice_budget():
         tracemalloc.stop()
     # unsliced kernels peaked 37.5 MiB above the output here
     assert peak - out.nbytes <= 8 * grs.SLICE_BUDGET * out.itemsize
+
+
+@pytest.mark.parametrize("pattern", [(1, 7), (1, 6)])  # pinned and block schemes
+def test_plan_keeps_only_its_aggregation_coordinates(pattern):
+    spec = build("c1", 8, 4, [(1, 6), (1, 7)])  # ell = 196,608
+    helpers = list(range(2, pattern[1] + 2))
+    tracemalloc.start()
+    try:
+        pl = plan(spec, [1], helpers, pattern)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # a (G, d+r) point table per family added 4-5 MiB here
+    assert live <= sum(f.agg_tau.nbytes for f in pl.families) + (64 << 10)
