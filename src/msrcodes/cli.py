@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 validation error, 2 integrity/optimality failure.
 Node indices are 1-based, matching the construction's numbering.  Randomized
 commands take --seed (fallback: MSR_SEED env var, then 0) and echo the seed
-they used.
+they used.  cmd_* handlers return (payload, text, code); main alone prints.
 """
 
 from __future__ import annotations
@@ -20,7 +20,10 @@ import numpy as np
 from . import audit, repair, storage
 from .constructions import (Family, build, encode, mds_reconstruct, random_data,
                             spec_from_manifest, LAMBDA_RULE)
-from .errors import CorruptionError, MsrError, ParameterError, ScenarioError
+from .errors import CorruptionError, MsrError, ParameterError
+from .field import PrimeField
+from .grs import GrsWord, erasure_decode
+from .hamming import build_partition
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,8 +44,7 @@ def _seed(args) -> int:
 
 
 def _parse_pattern_args(args) -> list:
-    family = Family(args.family)
-    if getattr(args, "patterns", None):
+    if args.patterns:
         pairs = [entry.split(":") for entry in args.patterns.split(",")]
         for pair in pairs:
             if len(pair) != 2 or not all(x.strip().isdecimal() for x in pair):
@@ -52,10 +54,10 @@ def _parse_pattern_args(args) -> list:
         raise ParameterError("--d is required")
     ds = _ints(args.d)
     if args.h is None:
-        if family is Family.C1:
+        if args.family == Family.C1.value:
             hs = [1] * len(ds)
         else:
-            raise ParameterError(f"--h is required for family {family.value}")
+            raise ParameterError(f"--h is required for family {args.family}")
     else:
         hs = _ints(args.h)
         if len(hs) == 1 and len(ds) > 1:
@@ -67,18 +69,14 @@ def _parse_pattern_args(args) -> list:
 
 def _build_spec(args, min_prime: int = 0):
     return build(args.family, args.n, args.k, _parse_pattern_args(args),
-                 prime=getattr(args, "prime", None), min_prime=min_prime)
-
-
-def _emit(args, payload: dict, text: str):
-    print(json.dumps(payload, indent=2) if args.json else text)
+                 prime=args.prime, min_prime=min_prime)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_params(args) -> int:
+def cmd_params(args) -> tuple:
     spec = _build_spec(args)
     bounds = []
     for h, d in spec.patterns:
@@ -95,11 +93,10 @@ def cmd_params(args) -> int:
              f"prime={spec.field.p} lambda_rule={LAMBDA_RULE}"]
     for b in bounds:
         lines.append(f"pattern (h={b['h']}, d={b['d']}): beta={b['beta']} gamma={b['gamma']}")
-    _emit(args, info, "\n".join(lines))
-    return 0
+    return info, "\n".join(lines), 0
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> tuple:
     seed = _seed(args)
     payload = None
     if args.payload:
@@ -112,41 +109,33 @@ def cmd_encode(args) -> int:
     info = {"cluster": str(args.cluster), "seed": seed, "blocks": state.blocks,
             "ell": spec.ell, "prime": spec.field.p,
             "digest": state.manifest["digest"], "padding": state.manifest["padding"]}
-    _emit(args, info,
-          f"ingested into {args.cluster}: blocks={state.blocks} ell={spec.ell} "
-          f"p={spec.field.p} seed={seed}\ndigest={state.manifest['digest']}")
-    return 0
+    return info, (f"ingested into {args.cluster}: blocks={state.blocks} ell={spec.ell} "
+                  f"p={spec.field.p} seed={seed}\ndigest={state.manifest['digest']}"), 0
 
 
-def cmd_fail(args) -> int:
+def cmd_fail(args) -> tuple:
     state = storage.load_cluster(args.cluster)
     storage.fail_nodes(state, _ints(args.nodes))
     failed = state.failed_nodes()
-    _emit(args, {"failed": failed}, f"failed nodes: {failed}")
-    return 0
+    return {"failed": failed}, f"failed nodes: {failed}", 0
 
 
-def cmd_repair(args) -> int:
+def cmd_repair(args) -> tuple:
     state = storage.load_cluster(args.cluster)
-    pattern = (args.h, args.d)
     nodes = _ints(args.nodes)
     if not nodes:
-        _emit(args, {"total": 0, "optimal": True}, "nothing to repair")
-        return 0
-    state, transcript = storage.run_repair(state, nodes,
-                                           _ints(args.helpers), pattern)
+        return {"total": 0, "optimal": True}, "nothing to repair", 0
+    state, transcript = storage.run_repair(state, nodes, _ints(args.helpers), (args.h, args.d))
     report = audit.verify_transcript(transcript, state.spec)
     out = {"transcript": transcript.to_json(), "bound_report": report.bound_report()}
     if args.report:
         Path(args.report).write_text(json.dumps(out, indent=2))
-    _emit(args, out,
-          f"repaired {list(transcript.failed)} from {list(transcript.helpers)}: "
-          f"total={transcript.total} bound={report.gamma} optimal={report.optimal} "
-          f"uniform={report.uniform}")
-    return 0 if report.conforming else 2
+    return out, (f"repaired {list(transcript.failed)} from {list(transcript.helpers)}: "
+                 f"total={transcript.total} bound={report.gamma} optimal={report.optimal} "
+                 f"uniform={report.uniform}"), 0 if report.conforming else 2
 
 
-def cmd_verify_mds(args) -> int:
+def cmd_verify_mds(args) -> tuple:
     if args.samples < 1:
         raise ParameterError(f"--samples must be at least 1, got {args.samples}")
     seed = _seed(args)
@@ -164,23 +153,19 @@ def cmd_verify_mds(args) -> int:
         if not np.array_equal(rec.columns, cw.columns):
             failures += 1
     ok = failures == 0
-    _emit(args, {"subsets": len(subsets), "failures": failures, "seed": seed, "ok": ok},
-          f"verified {len(subsets)} k-subsets, failures={failures}, seed={seed}")
-    return 0 if ok else 2
+    return ({"subsets": len(subsets), "failures": failures, "seed": seed, "ok": ok},
+            f"verified {len(subsets)} k-subsets, failures={failures}, seed={seed}",
+            0 if ok else 2)
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> tuple:
     rows = audit.table1_report(args.n, args.k, args.h, args.d)
     if args.csv:
         Path(args.csv).write_text(audit.table1_csv(rows))
-    if args.json:
-        print(json.dumps(audit.table1_json(rows), indent=2))
-    else:
-        print(audit.table1_text(rows))
-    return 0
+    return audit.table1_json(rows), audit.table1_text(rows), 0
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> tuple:
     seed = _seed(args)
     rng = np.random.default_rng(seed)
     checks = []
@@ -193,15 +178,12 @@ def cmd_selftest(args) -> int:
             checks.append((name, False, str(exc)))
 
     def field_axioms():
-        from .field import PrimeField
         f = PrimeField(17)
         for _ in range(1000):
             x, y, z = (int(v) for v in rng.integers(0, 17, size=3))
             assert f.mul(x, f.add(y, z)) == f.add(f.mul(x, y), f.mul(x, z))
 
     def grs_oracle():
-        from .field import PrimeField
-        from .grs import GrsWord, erasure_decode
         f = PrimeField(5)
         pts = (1, 2, 3, 4)
         words = []
@@ -232,7 +214,6 @@ def cmd_selftest(args) -> int:
             assert np.array_equal(restored[1], cw.column(1))
 
     def hamming_partition():
-        from .hamming import build_partition
         for w in (1, 2, 3):
             part = build_partition(w)
             seen = set()
@@ -252,106 +233,85 @@ def cmd_selftest(args) -> int:
     check("hamming coset partition", hamming_partition)
     check("table-1 values", table_values)
 
-    ok = all(passed for _, passed, _ in checks)
-    if args.json:
-        print(json.dumps({"seed": seed, "checks": [
-            {"name": n, "pass": p, "error": e} for n, p, e in checks]}, indent=2))
-    else:
-        for n, p, e in checks:
-            print(f"[{'PASS' if p else 'FAIL'}] {n}{(': ' + e) if e else ''}")
-        print(f"seed={seed}")
-    return 0 if ok else 2
+    payload = {"seed": seed, "checks": [{"name": n, "pass": p, "error": e}
+                                        for n, p, e in checks]}
+    lines = [f"[{'PASS' if p else 'FAIL'}] {n}{(': ' + e) if e else ''}" for n, p, e in checks]
+    return payload, "\n".join(lines + [f"seed={seed}"]), 0 if all(p for _, p, _ in checks) else 2
 
 
 # ---------------------------------------------------------------------------
-
-def _add_spec_flags(p: _Parser, need_family=True):
-    if need_family:
-        p.add_argument("--family", required=True,
-                       choices=[f.value for f in Family])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--h", type=str, default=None,
-                   help="comma list of h values (scalar for c3/hadamard)")
-    p.add_argument("--d", type=str, default=None, help="comma list of d values")
-    p.add_argument("--patterns", type=str, default=None,
-                   help="explicit h:d pairs, e.g. 1:3,2:4")
-    p.add_argument("--prime", type=int, default=None)
-
 
 def make_parser() -> _Parser:
     p = _Parser(prog="msrcodes",
                 description="Centralized MSR codes: build, encode, repair, audit.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("params", help="derive and print code parameters")
-    _add_spec_flags(sp)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_params)
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--family", required=True, choices=[f.value for f in Family])
+    spec.add_argument("--n", type=int, required=True)
+    spec.add_argument("--k", type=int, required=True)
+    spec.add_argument("--h", type=str, default=None,
+                      help="comma list of h values (scalar for c3/hadamard)")
+    spec.add_argument("--d", type=str, default=None, help="comma list of d values")
+    spec.add_argument("--patterns", type=str, default=None,
+                      help="explicit h:d pairs, e.g. 1:3,2:4")
+    spec.add_argument("--prime", type=int, default=None)
+    cluster = argparse.ArgumentParser(add_help=False)
+    cluster.add_argument("--cluster", type=Path, required=True)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None)
 
-    sp = sub.add_parser("encode", help="ingest a payload into a cluster directory")
-    _add_spec_flags(sp)
-    sp.add_argument("--cluster", type=Path, required=True)
+    def command(name, fn, help, *parents):
+        sp = sub.add_parser(name, help=help, parents=parents)
+        sp.add_argument("--json", action="store_true")
+        sp.set_defaults(fn=fn)
+        return sp
+
+    command("params", cmd_params, "derive and print code parameters", spec)
+
+    sp = command("encode", cmd_encode, "ingest a payload into a cluster directory",
+                 spec, cluster, seed)
     sp.add_argument("--payload", type=Path, default=None)
     sp.add_argument("--random-bytes", type=int, default=None)
     sp.add_argument("--blocks", type=int, default=1,
                     help="synthetic-symbol block count when no payload is given")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_encode)
 
-    sp = sub.add_parser("fail", help="erase node shards")
-    sp.add_argument("--cluster", type=Path, required=True)
+    sp = command("fail", cmd_fail, "erase node shards", cluster)
     sp.add_argument("--nodes", type=str, required=True)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_fail)
 
-    sp = sub.add_parser("repair", help="centralized repair of failed nodes")
-    sp.add_argument("--cluster", type=Path, required=True)
+    sp = command("repair", cmd_repair, "centralized repair of failed nodes", cluster)
     sp.add_argument("--nodes", type=str, required=True)
     sp.add_argument("--helpers", type=str, required=True)
     sp.add_argument("--h", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--report", type=Path, default=None)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_repair)
 
-    sp = sub.add_parser("verify-mds", help="random k-subset reconstruction check")
+    sp = command("verify-mds", cmd_verify_mds, "random k-subset reconstruction check", seed)
     sp.add_argument("--manifest", type=Path, required=True)
     sp.add_argument("--samples", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_verify_mds)
 
-    sp = sub.add_parser("table", help="sub-packetization comparison table")
+    sp = command("table", cmd_table, "sub-packetization comparison table")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--h", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--csv", type=Path, default=None)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_table)
 
-    sp = sub.add_parser("selftest", help="built-in sanity checks")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=cmd_selftest)
+    command("selftest", cmd_selftest, "built-in sanity checks", seed)
     return p
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
+        args = make_parser().parse_args(argv)
+        payload, text, code = args.fn(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 1
-    except (CorruptionError, ScenarioError) as exc:
+    except (MsrError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParameterError, MsrError, FileNotFoundError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, CorruptionError) else 1
+    print(json.dumps(payload, indent=2) if args.json else text)
+    return code
 
 
 if __name__ == "__main__":

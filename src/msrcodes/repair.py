@@ -211,22 +211,18 @@ def helper_aggregate(plan_: RepairPlan, helper: int, column: np.ndarray) -> Help
 
 
 def _payload_matrix(plan_: RepairPlan, payloads) -> np.ndarray:
-    """Stack payloads as (d, B, per_helper) in helper order."""
-    by_node = {}
-    for pl in payloads:
-        by_node[int(pl.helper)] = np.asarray(pl.values, dtype=np.int64)
+    """Payloads reduced mod p into one (d, B, per_helper) int64 array, helper order."""
+    by_node = {int(pl.helper): np.atleast_2d(pl.values) for pl in payloads}
     if set(by_node) != set(plan_.helpers):
         raise ParameterError("payloads do not match the helper set")
-    rows = []
-    for j in plan_.helpers:
-        v = by_node[j]
-        if v.ndim == 1:
-            v = v[None]
-        if v.shape[-1] != plan_.per_helper:
+    B = by_node[plan_.helpers[0]].shape[0]
+    matrix = np.empty((len(plan_.helpers), B, plan_.per_helper), dtype=np.int64)
+    for j, out in zip(plan_.helpers, matrix):
+        if by_node[j].shape != out.shape:
             raise ParameterError(
-                f"helper {j} payload has {v.shape[-1]} values, expected {plan_.per_helper}")
-        rows.append(v % plan_.spec.field.p)
-    return np.stack(rows)
+                f"helper {j} payload has shape {by_node[j].shape}, expected {out.shape}")
+        np.remainder(by_node[j], plan_.spec.field.p, out=out)
+    return matrix
 
 
 def repair_columns(plan_: RepairPlan, payload_matrix: np.ndarray) -> np.ndarray:

@@ -91,7 +91,7 @@ def write_shard(path: Path, spec: CodeSpec, node: int, elements: np.ndarray) -> 
 
 
 def read_shard(path: Path, log: Optional[AccessLog] = None,
-               category: str = "shard", digest: Optional[str] = None) -> tuple:
+               digest: Optional[str] = None) -> tuple:
     """(node, element array); validates magic/version/prime.
 
     When digest is given (the manifest's SHA-256 of the file) it is checked
@@ -102,7 +102,7 @@ def read_shard(path: Path, log: Optional[AccessLog] = None,
     except FileNotFoundError:
         raise CorruptionError(f"{path}: shard file is missing") from None
     if log is not None:
-        log.record(path, len(blob), category)
+        log.record(path, len(blob), "shard")
     if digest is not None and hashlib.sha256(blob).hexdigest() != digest:
         raise CorruptionError(f"{path}: shard digest does not match the manifest")
     if len(blob) < HEADER_SIZE:
@@ -118,10 +118,9 @@ def read_shard(path: Path, log: Optional[AccessLog] = None,
     return node, elements
 
 
-def read_elements(path: Path, indices: np.ndarray, log: Optional[AccessLog] = None,
-                  category: str = "shard") -> np.ndarray:
+def read_elements(path: Path, indices: np.ndarray, log: Optional[AccessLog] = None) -> np.ndarray:
     """The elements at the given indices, gathered from one whole-shard read."""
-    return read_shard(path, log=log, category=category)[1][np.asarray(indices)]
+    return read_shard(path, log=log)[1][np.asarray(indices)]
 
 
 @dataclass
@@ -265,15 +264,13 @@ def run_repair(state: ClusterState, failed: Sequence[int], helpers: Sequence[int
 
     # data center: read transfer files only, through the instrumented log
     center_log = AccessLog()
-    matrix = np.empty((len(helpers), B, plan_.per_helper), dtype=np.int64)
-    for i, j in enumerate(helpers):
+    payloads = []
+    for j in helpers:
         blob = transfer_paths[j].read_bytes()
         center_log.record(transfer_paths[j], len(blob), "download")
-        matrix[i] = np.frombuffer(blob, dtype="<u8").astype(np.int64).reshape(
-            B, plan_.per_helper)
-
-    restored = repair_mod.repair_columns(plan_, matrix)  # (h, B, ell)
-    transcript = repair_mod.build_transcript(plan_, blocks=B)
+        payloads.append(repair_mod.HelperPayload(
+            j, np.frombuffer(blob, "<u8").reshape(B, plan_.per_helper)))
+    restored, transcript = repair_mod.center_repair(plan_, payloads)  # {node: (B, ell)}
     downloaded = center_log.total("download")
     if downloaded != transcript.total * ELEMENT_SIZE:
         raise CorruptionError(
@@ -283,13 +280,13 @@ def run_repair(state: ClusterState, failed: Sequence[int], helpers: Sequence[int
         raise CorruptionError("data center touched a shard file directly")
 
     # verify every restored shard in memory before any of them reaches disk
-    for i, j in enumerate(failed):
-        digest = hashlib.sha256(_shard_blob(spec, j, restored[i])).hexdigest()
+    for j in failed:
+        digest = hashlib.sha256(_shard_blob(spec, j, restored[j])).hexdigest()
         if digest != state.shard_digest(j):
             raise CorruptionError(f"restored shard for node {j} does not match "
                                   "its pre-failure digest")
-    for i, j in enumerate(failed):
-        write_shard(state.shard_path(j), spec, j, restored[i])
+    for j in failed:
+        write_shard(state.shard_path(j), spec, j, restored[j])
         state.manifest["statuses"][str(j)] = ALIVE
     state.manifest.setdefault("repairs", []).append(transcript.to_json())
     state.save()

@@ -133,6 +133,17 @@ def test_verify_mds_rejects_fewer_than_one_sample(tmp_path, capsys):
         assert code == 1 and "--samples" in err and out == ""
 
 
+def test_unreadable_input_path_exits_1(tmp_path, capsys):
+    cluster = tmp_path / "cl"
+    cluster.mkdir()
+    for argv in (["verify-mds", "--manifest", str(cluster)],
+                 ["encode", "--family", "c3", "--n", "6", "--k", "2", "--h", "2", "--d", "4",
+                  "--cluster", str(tmp_path / "out"), "--payload", str(cluster)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert str(cluster) in err
+
+
 @pytest.mark.parametrize("patterns, entry", [("1:3,2", "'2'"), ("1:3:4", "'1:3:4'"),
                                               ("1:x", "'1:x'"), ("1:\u00b2", "'1:\u00b2'")])
 def test_malformed_patterns_are_named(patterns, entry, capsys):

@@ -1,5 +1,6 @@
 """Golden layouts: repair-group coordinates, evaluation points, shard bytes,
-helper transfer payloads and the repair records a cluster writes.
+helper transfer payloads, the repair records a cluster writes and the CLI's
+stdout.
 
 Each digest pins the exact bytes a plan, an ingest or a cluster repair
 produces, so any rewrite of the family builders, the digit arithmetic, the
@@ -96,6 +97,38 @@ GOLDEN_C3_REPAIR_ENTRY = "9750316da8a9ef2f7b5884ad71457bed7792d4ffc73eee96663105
 GOLDEN_C3_BOUND_REPORT = "d10d70498a45e982c975cdc8a1d04388f46c6694cb1f02191522c97be8867907"
 GOLDEN_C4_H3_REPAIR_ENTRY = "2ecf467ef8ed17bb7b987d75a8da65a5b530559b7029b160e5866a227845b2ee"
 
+# One pass over every sub-command, in order, on a relative cluster path so
+# that no absolute path reaches stdout.
+CLI_CYCLE = {
+    "params": ["params", "--family", "c2", "--n", "6", "--k", "2",
+               "--patterns", "1:3,1:4,1:5,2:4"],
+    "encode": ["encode", "--family", "c3", "--n", "6", "--k", "2", "--h", "2", "--d", "4",
+               "--cluster", "cl", "--random-bytes", "1000", "--seed", "3"],
+    "fail": ["fail", "--cluster", "cl", "--nodes", "1,2"],
+    "repair": ["repair", "--cluster", "cl", "--nodes", "1,2", "--helpers", "3,4,5,6",
+               "--h", "2", "--d", "4"],
+    "verify-mds": ["verify-mds", "--manifest", "cl/manifest.json", "--seed", "2"],
+    "table": ["table", "--n", "12", "--k", "6", "--h", "2", "--d", "8"],
+    "selftest": ["selftest", "--seed", "1"],
+}
+# command -> (SHA-256 of its text stdout, SHA-256 of its --json stdout)
+GOLDEN_CLI_STDOUT = {
+    "params": ("dd843547a67f43a56717cc7264f5082e1ba4faee87109da4683208bea428cc54",
+               "96210e8ca18575884061ca630aff9a8113e80f8ca565db0e4d70162f84c46447"),
+    "encode": ("328aefb937f4d62125d80a9281eedc5cbbdde0af3c6720cac77301fa7e2e2b8b",
+               "59c8aeedf7b38c50f29ed2aca99cd1c48890deb7d960e9536cbc41ff6e6858af"),
+    "fail": ("eb24e4aa931351190350aac0b50abaa85bf72961a2ba43f1cbc1cf1865efa320",
+             "f1d20a0120b9c103bcb1746b4d19a7dc07dd9c1466cc7ce6dd80013804fdd5bb"),
+    "repair": ("0fe926ac515a983b101cc300cf1179a08660e5faf8f7d5e682f74136a3180dfd",
+               "c2e56533e24875f8efdd47599f2ecddf3232068cd3dfcbcd13191d5d2590303b"),
+    "verify-mds": ("601f5efb2662a705bf04bb73a90b11590ba464314b931c13d15ba40f1d3b80e0",
+                   "49fdc525787ebcd3af05705b934eef13c5c8f036a18bd0c6ab491e837f016119"),
+    "table": ("6f78e1521e52cfb50b98de81ff67e9b54680d98463e6fd31dee24e6e076e82e5",
+              "4246bc514e0d2ae4b21955cba903cc3bc2e0008c156bd140005f5980f439fffa"),
+    "selftest": ("5aa5920c6b93de9932317b5dddfd6567d39a6df6f711c13249928cae408c2526",
+                 "5af32bf971a02ba2034bc4c01db6adb6c4d362bf28fa6de348f20075f0fd245b"),
+}
+
 
 def _json_digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
@@ -177,3 +210,14 @@ def test_seeded_c4_h3_repair_entry_is_pinned(tmp_path):
     run_repair(state, [1, 3, 5], [2, 4, 6], (3, 3))
     entry = json.loads((tmp_path / "c" / "manifest.json").read_text())["repairs"][-1]
     assert _json_digest(entry) == GOLDEN_C4_H3_REPAIR_ENTRY
+
+
+def test_cli_stdout_is_pinned(tmp_path, monkeypatch, capsys):
+    got = {name: [] for name in CLI_CYCLE}
+    for mode in ("text", "json"):
+        (tmp_path / mode).mkdir()
+        monkeypatch.chdir(tmp_path / mode)
+        for name, argv in CLI_CYCLE.items():
+            assert main(argv + (["--json"] if mode == "json" else [])) == 0, name
+            got[name].append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert {name: tuple(d) for name, d in got.items()} == GOLDEN_CLI_STDOUT

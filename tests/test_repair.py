@@ -297,6 +297,10 @@ def test_center_repair_payload_validation():
     bad_len = good[:3] + [HelperPayload(6, np.zeros(63, dtype=np.int64))]
     with pytest.raises(ParameterError):
         center_repair(pl, bad_len)
+    stacked = HelperPayload(6, np.zeros((2, 64), dtype=np.int64))
+    for bad_blocks in (good[:3] + [stacked], [stacked] + good[:3]):
+        with pytest.raises(ParameterError):
+            center_repair(pl, bad_blocks)
 
 
 def test_transcript_json_schema():
