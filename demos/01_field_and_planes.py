@@ -7,14 +7,13 @@ on the digits of a.
 
 import numpy as np
 
-from msrcodes.constructions import build, encode, node_point_matrix, random_data
+from msrcodes.constructions import build, encode, node_points, random_data
 from msrcodes.field import PrimeField
 
 ## A field is just arithmetic mod a prime
 f = PrimeField(17)
-x, y = f.element(12), f.element(9)
-print("GF(17):", f"12+9={int(x + y)}", f"12*9={int(x * y)}",
-      f"inv(12)={int(x.inverse())}", f"12^5={int(x ** 5)}")
+print("GF(17):", f"12+9={f.add(12, 9)}", f"12*9={f.mul(12, 9)}",
+      f"inv(12)={f.inv(12)}", f"12^5={f.pow(12, 5)}")
 
 ## Build a small code: 4 nodes, 2 data nodes, single-failure repair degree 3
 spec = build("c1", 4, 2, [(1, 3)])
@@ -25,9 +24,9 @@ rng = np.random.default_rng(7)
 cw = encode(spec, random_data(spec, rng))
 
 ## Check one plane by hand: its n symbols satisfy sum lambda^(t-1) c = 0
-pts = node_point_matrix(spec)
+pts = node_points(spec, range(1, spec.n + 1), np.arange(spec.coords.a_count))
 tau = 5
-a, b = spec.coords.unpack(tau)
+b, a = divmod(tau, spec.coords.a_count)
 print(f"\nplane tau={tau} -> (a={a}, b={b}), digits of a: {spec.coords.digits(a)}")
 for t in range(spec.r):
     acc = sum(pow(int(pts[j, a]), t, spec.field.p) * int(cw.columns[j, tau])

@@ -7,11 +7,11 @@ confirm the decoder lands on the unique completion.
 import itertools
 
 from msrcodes.field import PrimeField
-from msrcodes.grs import ERASED, GrsWord, erasure_decode, syndromes, systematic_extend
+from msrcodes.grs import ERASED, GrsWord, erasure_decode, syndromes
 
 ## Systematic extension: pick data symbols, solve for the rest
 f = PrimeField(11)
-word = systematic_extend(f, points=(1, 3, 5, 7), r=2, data=(1, 0), data_positions=(1, 2))
+word = erasure_decode(GrsWord(f, (1, 3, 5, 7), [1, 0, ERASED, ERASED], r=2))
 print("extended word:", word.values, "syndromes:", syndromes(word))
 
 ## Erase any two entries and decode them back

@@ -2,9 +2,9 @@
 
 Library layout:
 
-  field          GF(p) arithmetic (scalar elements and int64 array kernels)
+  field          GF(p) arithmetic on ints and int64 arrays
   mixedradix     CoordinateSystem: (a, b) coordinates, the only digit arithmetic
-  grs            Vandermonde-parity GRS words: syndromes, encode, erasure decode
+  grs            Vandermonde-parity GRS words: syndromes, erasure decode, batched kernels
   hamming        Ham(2, w) coset partition used by the Hadamard repair scheme
   constructions  the code families (C1..C4, Hadamard): build, encode, reconstruct
   repair         repair plans (one orbit builder), helper aggregation, center repair
@@ -15,17 +15,16 @@ Library layout:
 
 from .constructions import (CodeSpec, Codeword, Family, build, encode,
                             encode_blocks, mds_reconstruct, verify_planes)
-from .errors import (CorruptionError, DataLossError, FieldMismatchError,
-                     MsrError, ParameterError, ScenarioError)
-from .field import FieldElement, PrimeField
+from .errors import CorruptionError, DataLossError, MsrError, ParameterError
+from .field import PrimeField
 from .repair import center_repair, helper_aggregate, plan, repair_from_codeword
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CodeSpec", "Codeword", "Family", "build", "encode", "encode_blocks",
-    "mds_reconstruct", "verify_planes", "PrimeField", "FieldElement",
+    "mds_reconstruct", "verify_planes", "PrimeField",
     "plan", "helper_aggregate", "center_repair", "repair_from_codeword",
-    "MsrError", "ParameterError", "FieldMismatchError", "CorruptionError",
-    "DataLossError", "ScenarioError", "__version__",
+    "MsrError", "ParameterError", "CorruptionError", "DataLossError",
+    "__version__",
 ]

@@ -101,7 +101,9 @@ def cmd_encode(args) -> tuple:
     payload = None
     if args.payload:
         payload = Path(args.payload).read_bytes()
-    elif args.random_bytes:
+    elif args.random_bytes is not None:
+        if args.random_bytes < 0:
+            raise ParameterError(f"--random-bytes must be at least 0, got {args.random_bytes}")
         rng = np.random.default_rng(seed)
         payload = rng.integers(0, 256, size=args.random_bytes, dtype=np.uint8).tobytes()
     spec = _build_spec(args, min_prime=257 if payload is not None else 0)

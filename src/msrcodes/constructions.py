@@ -202,11 +202,6 @@ def node_points(spec: CodeSpec, nodes: Sequence[int], a) -> np.ndarray:
     return out
 
 
-def node_point_matrix(spec: CodeSpec) -> np.ndarray:
-    """points[j-1, a] = lambda_{j, a_j}; shape (n, s_m^n)."""
-    return node_points(spec, range(1, spec.n + 1), np.arange(spec.s_m**spec.n))
-
-
 def complete_columns(spec: CodeSpec, known_nodes: Sequence[int],
                      known: np.ndarray) -> np.ndarray:
     """Fill the remaining r node columns so every plane's checks vanish.

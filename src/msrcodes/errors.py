@@ -9,21 +9,9 @@ class ParameterError(MsrError, ValueError):
     """Invalid or inconsistent parameters (bad code family constraints, ranges, flags)."""
 
 
-class FieldMismatchError(MsrError, ValueError):
-    """Arithmetic attempted between elements of different fields."""
-
-
 class CorruptionError(MsrError, RuntimeError):
     """Data failed an integrity check (nonzero GRS residual, digest mismatch)."""
 
 
 class DataLossError(MsrError, RuntimeError):
     """More nodes failed than the code can tolerate."""
-
-
-class ScenarioError(MsrError, RuntimeError):
-    """A scripted scenario step failed; carries the 0-based step index."""
-
-    def __init__(self, step: int, message: str):
-        super().__init__(f"step {step}: {message}")
-        self.step = step

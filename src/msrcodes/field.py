@@ -1,9 +1,8 @@
 """Prime-field arithmetic GF(p).
 
-Scalar operations go through :class:`FieldElement`, which carries its field and
-rejects cross-field arithmetic.  The hot paths (encoding, repair solves) use
-the :class:`PrimeField` methods directly on numpy int64 arrays of canonical
-residues; products of two residues must fit in int64, hence the p < 2^31 cap.
+The :class:`PrimeField` methods act on Python ints and on numpy int64 arrays
+of canonical residues alike; the hot paths (encoding, repair solves) pass
+arrays.  Products of two residues must fit in int64, hence the p < 2^31 cap.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldMismatchError, ParameterError
+from .errors import ParameterError
 
 _MAX_PRIME = 1 << 31  # (p-1)^2 must fit in signed 64-bit
 
@@ -52,13 +51,8 @@ class PrimeField:
         if self.p >= _MAX_PRIME:
             raise ParameterError(f"modulus {self.p} too large (must be < 2^31)")
 
-    # -- scalar/array kernels ------------------------------------------------
-
     def add(self, x, y):
         return (x + y) % self.p
-
-    def sub(self, x, y):
-        return (x - y) % self.p
 
     def mul(self, x, y):
         return (x * y) % self.p
@@ -91,56 +85,5 @@ class PrimeField:
             return result
         return pow(x % self.p, e, self.p)
 
-    # -- element layer -------------------------------------------------------
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.p, self)
-
-    def __contains__(self, value: int) -> bool:
-        return 0 <= value < self.p
-
     def __repr__(self):
         return f"GF({self.p})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A residue in [0, p-1] tagged with its field."""
-
-    value: int
-    field: PrimeField
-
-    def __post_init__(self):
-        if not (0 <= self.value < self.field.p):
-            raise ParameterError(f"value {self.value} outside [0, {self.field.p - 1}]")
-
-    def _check(self, other: "FieldElement"):
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError(f"{self.field} vs {other.field}")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.field.add(self.value, other.value), self.field)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.field.sub(self.value, other.value), self.field)
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.field.mul(self.value, other.value), self.field)
-
-    def __neg__(self):
-        return FieldElement(self.field.neg(self.value), self.field)
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field.pow(self.value, e), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __int__(self):
-        return self.value
-

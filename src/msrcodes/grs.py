@@ -17,7 +17,6 @@ elements however many planes or groups a code has.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -91,28 +90,6 @@ def erasure_decode(word: GrsWord) -> GrsWord:
     if any(s != 0 for s in syndromes(result)):
         raise CorruptionError("nonzero GRS residual: known symbols inconsistent")
     return result
-
-
-def systematic_extend(field: PrimeField, points: Sequence[int], r: int,
-                      data: Sequence[int], data_positions: Sequence[int]) -> GrsWord:
-    """Extend k data symbols at the given 1-based positions to a full word.
-
-    len(points) - r positions carry data; the rest are solved so all r parity
-    checks vanish.
-    """
-    n = len(points)
-    if len(data) != len(data_positions):
-        raise ParameterError("data/data_positions length mismatch")
-    if len(data) != n - r:
-        raise ParameterError(f"expected {n - r} data symbols, got {len(data)}")
-    if len(set(data_positions)) != len(data_positions):
-        raise ParameterError("duplicate data positions")
-    values: list = [ERASED] * n
-    for pos, v in zip(data_positions, data):
-        if not (1 <= pos <= n):
-            raise ParameterError(f"position {pos} outside [1, {n}]")
-        values[pos - 1] = int(v) % field.p
-    return erasure_decode(GrsWord(field, tuple(points), values, r))
 
 
 # ---------------------------------------------------------------------------

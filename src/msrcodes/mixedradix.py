@@ -8,22 +8,15 @@ stay transcribable.
 
 This module is the one home of the digit arithmetic: the encoder's point
 table and every repair-group builder go through CoordinateSystem.digit and
-CoordinateSystem.shift_digits; digits, pack and unpack convert one index.
+CoordinateSystem.shift_digits; digits expands one index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .errors import ParameterError
-
-
-class Coordinate(NamedTuple):
-    a: int
-    b: int
 
 
 @dataclass(frozen=True)
@@ -39,10 +32,6 @@ class CoordinateSystem:
     @property
     def a_count(self) -> int:
         return self.base**self.ndigits
-
-    @property
-    def ell(self) -> int:
-        return self.blocks * self.a_count
 
     # -- digit access ----------------------------------------------------
 
@@ -71,20 +60,3 @@ class CoordinateSystem:
             dig = self.digit(a, pos)
             out = out + ((dig + v) % self.base - dig) * self.base ** (pos - 1)
         return out
-
-    # -- (a, b) packing ----------------------------------------------------
-
-    def pack(self, a, b):
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            return b * self.a_count + a
-        if not (0 <= a < self.a_count and 0 <= b < self.blocks):
-            raise ParameterError(f"(a={a}, b={b}) out of range")
-        return b * self.a_count + a
-
-    def unpack(self, tau):
-        if isinstance(tau, np.ndarray):
-            return tau % self.a_count, tau // self.a_count
-        if not (0 <= tau < self.ell):
-            raise ParameterError(f"tau={tau} outside [0, {self.ell - 1}]")
-        return Coordinate(tau % self.a_count, tau // self.a_count)
-

@@ -33,10 +33,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import audit, repair as repair_mod
-from .constructions import (CodeSpec, Family, build, encode_blocks, complete_columns,
+from . import repair as repair_mod
+from .constructions import (CodeSpec, Family, encode_blocks, complete_columns,
                             manifest_dict, spec_from_manifest)
-from .errors import CorruptionError, DataLossError, ParameterError, ScenarioError
+from .errors import CorruptionError, DataLossError, ParameterError
 
 MAGIC = b"MSR1"
 VERSION = 1
@@ -167,8 +167,6 @@ def ingest(payload: Optional[bytes], spec: CodeSpec, root,
     synthetic mode draws uniform symbols below whatever prime the spec chose.
     """
     root = Path(root)
-    (root / "shards").mkdir(parents=True, exist_ok=True)
-    (root / "transfer").mkdir(parents=True, exist_ok=True)
     block_syms = spec.k * spec.ell
     if payload is not None:
         if spec.field.p < 257:
@@ -182,6 +180,8 @@ def ingest(payload: Optional[bytes], spec: CodeSpec, root,
         digest = hashlib.sha256(payload).hexdigest()
         mode, payload_len = "bytes", len(payload)
     else:
+        if blocks < 1:
+            raise ParameterError(f"blocks must be at least 1, got {blocks}")
         rng = np.random.default_rng(seed)
         nblocks = blocks
         data = rng.integers(0, spec.field.p, size=(nblocks, spec.k, spec.ell),
@@ -190,6 +190,8 @@ def ingest(payload: Optional[bytes], spec: CodeSpec, root,
         mode, padding, payload_len = "symbols", 0, nblocks * block_syms
 
     encoded = encode_blocks(spec, data)  # (B, n, ell)
+    (root / "shards").mkdir(parents=True, exist_ok=True)
+    (root / "transfer").mkdir(parents=True, exist_ok=True)
     state = ClusterState(root=root, spec=spec, manifest={})
     shards = {}
     for j in range(1, spec.n + 1):
@@ -317,70 +319,3 @@ def extract(state: ClusterState) -> bytes:
     if digest != state.manifest["digest"]:
         raise CorruptionError("extracted payload digest mismatch")
     return payload
-
-
-# ---------------------------------------------------------------------------
-# scripted scenarios
-# ---------------------------------------------------------------------------
-
-def run_scenario(config: dict, root=None) -> dict:
-    """Execute a scripted ingest/fail/repair/verify sequence.
-
-    Config keys: family, n, k, patterns, seed, payload (path), payload_bytes
-    (size of seeded random byte payload), blocks, root, steps[].  Any step
-    failure raises ScenarioError carrying the 0-based step index (partial
-    report attached as .report).
-    """
-    steps = config.get("steps", [])
-    report: dict = {"steps": [], "ok": True}
-    if not steps:
-        return report
-
-    payload = None
-    if config.get("payload"):
-        payload = Path(config["payload"]).read_bytes()
-    elif config.get("payload_bytes"):
-        rng = np.random.default_rng(config.get("seed", 0))
-        payload = rng.integers(0, 256, size=int(config["payload_bytes"]),
-                               dtype=np.uint8).tobytes()
-    min_prime = 257 if payload is not None else 0
-    root = Path(root if root is not None else config.get("root", "cluster"))
-
-    state = None
-    for i, step in enumerate(steps):
-        op = step.get("op")
-        try:
-            if op == "ingest":
-                spec = build(config["family"], config["n"], config["k"],
-                             [tuple(p) for p in config["patterns"]],
-                             prime=config.get("prime"), min_prime=min_prime)
-                state = ingest(payload, spec, root, seed=config.get("seed", 0),
-                               blocks=config.get("blocks", 1))
-                report["steps"].append({"op": op, "blocks": state.blocks,
-                                        "ell": spec.ell, "prime": spec.field.p})
-            elif op in ("fail", "repair", "verify") and state is None:
-                raise ParameterError(f"{op} before ingest")
-            elif op == "fail":
-                fail_nodes(state, step["nodes"])
-                report["steps"].append({"op": op, "nodes": sorted(step["nodes"])})
-            elif op == "repair":
-                pattern = (step["h"], step["d"])
-                state, transcript = run_repair(state, step["nodes"],
-                                               step["helpers"], pattern)
-                rep = audit.verify_transcript(transcript, state.spec)
-                report["steps"].append({"op": op, "pattern": list(pattern),
-                                        "total": transcript.total, "optimal": rep.optimal,
-                                        "uniform": rep.uniform})
-                if not rep.conforming:
-                    raise CorruptionError("repair transcript not optimal")
-            elif op == "verify":
-                extract(state)
-                report["steps"].append({"op": op, "digest_ok": True})
-            else:
-                raise ParameterError(f"unknown scenario op {op!r}")
-        except Exception as exc:  # abort with the failing step index
-            report["ok"] = False
-            err = ScenarioError(i, f"{op}: {exc}")
-            err.report = report
-            raise err from exc
-    return report

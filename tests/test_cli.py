@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -65,6 +66,28 @@ def test_encode_fail_repair_cycle(tmp_path, capsys):
     rep = json.loads(report_path.read_text())
     assert rep["bound_report"]["optimal"] is True
     assert rep["transcript"]["pattern"] == [2, 4]
+
+
+def test_encode_zero_blocks_exits_1(tmp_path, capsys):
+    cluster = tmp_path / "cl"
+    code, out, err = run(capsys, "encode", "--family", "c3", "--n", "6", "--k", "2",
+                         "--h", "2", "--d", "4", "--cluster", str(cluster), "--blocks", "0")
+    assert code == 1 and out == "" and "blocks" in err
+    assert not cluster.exists()
+
+
+def test_encode_random_bytes_zero_is_an_empty_payload(tmp_path, capsys):
+    code, out, _ = run(capsys, "encode", "--family", "c3", "--n", "6", "--k", "2",
+                       "--h", "2", "--d", "4", "--cluster", str(tmp_path / "cl"),
+                       "--random-bytes", "0", "--json")
+    assert code == 0
+    info = json.loads(out)
+    assert info["prime"] == 257 and info["digest"] == hashlib.sha256(b"").hexdigest()
+
+    code, out, err = run(capsys, "encode", "--family", "c3", "--n", "6", "--k", "2",
+                         "--h", "2", "--d", "4", "--cluster", str(tmp_path / "neg"),
+                         "--random-bytes", "-1")
+    assert code == 1 and out == "" and "--random-bytes" in err
 
 
 def test_repair_wrong_helpers_exits_1(tmp_path, capsys):

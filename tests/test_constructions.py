@@ -189,7 +189,7 @@ def test_every_plane_has_zero_syndromes():
     lam = spec.lam_array()
     cs = spec.coords
     for tau in range(spec.ell):
-        a, _ = cs.unpack(tau)
+        a = tau % cs.a_count
         for t in range(spec.r):
             acc = sum(pow(int(lam[j - 1, cs.digit(a, j)]), t, spec.field.p)
                       * int(cw.columns[j - 1, tau]) for j in range(1, 5))

@@ -1,46 +1,38 @@
 import numpy as np
 import pytest
 
-from msrcodes.errors import FieldMismatchError, ParameterError
+from msrcodes.errors import ParameterError
 from msrcodes.field import PrimeField, is_prime, next_prime
 
 
 def test_add_examples():
     f7, f11 = PrimeField(7), PrimeField(11)
-    assert (f7.element(3) + f7.element(5)).value == 1
-    assert (f7.element(0) + f7.element(4)).value == 4
-    assert (f11.element(10) + f11.element(10)).value == 9
+    assert f7.add(3, 5) == 1
+    assert f7.add(0, 4) == 4
+    assert f11.add(10, 10) == 9
 
 
 def test_mul_examples():
     f7, f11 = PrimeField(7), PrimeField(11)
-    assert (f7.element(3) * f7.element(5)).value == 1
-    assert (f7.element(1) * f7.element(6)).value == 6
-    assert (f11.element(4) * f11.element(9)).value == 3
+    assert f7.mul(3, 5) == 1
+    assert f7.mul(1, 6) == 6
+    assert f11.mul(4, 9) == 3
 
 
 def test_inv_examples():
     f7, f11 = PrimeField(7), PrimeField(11)
-    assert f7.element(3).inverse().value == 5
-    assert f7.element(1).inverse().value == 1
-    assert f11.element(2).inverse().value == 6
+    assert f7.inv(3) == 5
+    assert f7.inv(1) == 1
+    assert f11.inv(2) == 6
     with pytest.raises(ZeroDivisionError):
-        f7.element(0).inverse()
+        f7.inv(0)
 
 
 def test_pow_examples():
     f7, f11 = PrimeField(7), PrimeField(11)
-    assert (f7.element(3) ** 2).value == 2
-    assert (f7.element(0) ** 0).value == 1  # 0^0 = 1 by convention
-    assert (f11.element(2) ** 5).value == 10
-
-
-def test_field_mismatch_rejected():
-    f7, f11 = PrimeField(7), PrimeField(11)
-    with pytest.raises(FieldMismatchError):
-        f7.element(1) + f11.element(1)
-    with pytest.raises(FieldMismatchError):
-        f7.element(2) * f11.element(2)
+    assert f7.pow(3, 2) == 2
+    assert f7.pow(0, 0) == 1  # 0^0 = 1 by convention
+    assert f11.pow(2, 5) == 10
 
 
 def test_nonprime_modulus_rejected():

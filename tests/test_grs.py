@@ -5,8 +5,7 @@ import pytest
 
 from msrcodes.errors import CorruptionError, ParameterError
 from msrcodes.field import PrimeField
-from msrcodes.grs import (ERASED, GrsWord, erasure_decode, solve_vandermonde,
-                          syndromes, systematic_extend)
+from msrcodes.grs import ERASED, GrsWord, erasure_decode, solve_vandermonde, syndromes
 
 
 def brute_force_codewords(p, points, r):
@@ -50,15 +49,15 @@ def test_syndromes_rejects_erasures():
 
 def test_systematic_extend_examples():
     f7 = PrimeField(7)
-    w = systematic_extend(f7, (1, 2, 3, 4), r=2, data=(1, 0), data_positions=(1, 2))
+    w = erasure_decode(GrsWord(f7, (1, 2, 3, 4), [1, 0, ERASED, ERASED], r=2))
     assert w.values == [1, 0, 4, 2]
     assert syndromes(w) == [0, 0]
 
-    zero = systematic_extend(f7, (1, 2, 3, 4), r=2, data=(0, 0), data_positions=(1, 2))
+    zero = erasure_decode(GrsWord(f7, (1, 2, 3, 4), [0, 0, ERASED, ERASED], r=2))
     assert zero.values == [0, 0, 0, 0]
 
     f11 = PrimeField(11)
-    w = systematic_extend(f11, (1, 3, 5, 7), r=2, data=(1, 0), data_positions=(1, 2))
+    w = erasure_decode(GrsWord(f11, (1, 3, 5, 7), [1, 0, ERASED, ERASED], r=2))
     assert w.values == [1, 0, 8, 2]
     assert syndromes(w) == [0, 0]
 
@@ -91,7 +90,7 @@ def test_duplicate_points_rejected():
 def test_corruption_detected_with_spare_checks():
     # one erasure, two checks: flipping a known symbol leaves a residual
     f7 = PrimeField(7)
-    good = systematic_extend(f7, (1, 2, 3, 4), r=2, data=(3, 5), data_positions=(1, 2))
+    good = erasure_decode(GrsWord(f7, (1, 2, 3, 4), [3, 5, ERASED, ERASED], r=2))
     vals = list(good.values)
     vals[0] = (vals[0] + 1) % 7
     vals[3] = ERASED
@@ -109,7 +108,7 @@ def test_roundtrip_random():
         points = rng.choice(np.arange(p), size=n, replace=False).tolist()
         k = n - r
         data = rng.integers(0, p, size=k).tolist()
-        word = systematic_extend(f, points, r, data, list(range(1, k + 1)))
+        word = erasure_decode(GrsWord(f, points, data + [ERASED] * r, r))
         e = int(rng.integers(0, r + 1))
         erased = rng.choice(np.arange(n), size=e, replace=False).tolist()
         vals = [ERASED if i in erased else v for i, v in enumerate(word.values)]

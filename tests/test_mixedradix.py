@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from msrcodes.errors import ParameterError
-from msrcodes.mixedradix import Coordinate, CoordinateSystem
+from msrcodes.mixedradix import CoordinateSystem
 
 
 def cyc_add(x: int, v: int, base: int) -> int:
@@ -45,24 +45,6 @@ def test_cyc_add_is_bijection(base):
     for v in range(base):
         image = {cyc_add(x, v, base) for x in range(base)}
         assert image == set(range(base))
-
-
-def test_pack_unpack_examples():
-    assert CoordinateSystem(3, 2, 2).pack(6, 1) == 15
-    assert CoordinateSystem(3, 2, 2).unpack(0) == Coordinate(0, 0)
-    assert CoordinateSystem(2, 3, 3).unpack(23) == Coordinate(7, 2)
-
-
-@pytest.mark.parametrize("base,n,s", [(2, 3, 3), (3, 2, 2), (3, 5, 1), (2, 8, 1), (4, 3, 6)])
-def test_pack_unpack_roundtrip_exhaustive(base, n, s):
-    cs = CoordinateSystem(base, n, s)
-    for tau in range(cs.ell):
-        a, b = cs.unpack(tau)
-        assert cs.pack(a, b) == tau
-    with pytest.raises(ParameterError):
-        cs.unpack(cs.ell)
-    with pytest.raises(ParameterError):
-        cs.pack(cs.a_count, 0)
 
 
 def test_from_digits_roundtrip():

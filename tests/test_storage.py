@@ -7,10 +7,10 @@ import pytest
 
 from msrcodes import storage
 from msrcodes.constructions import build
-from msrcodes import repair as repair_mod
-from msrcodes.errors import CorruptionError, DataLossError, ParameterError, ScenarioError
+from msrcodes import audit, repair as repair_mod
+from msrcodes.errors import CorruptionError, DataLossError, ParameterError
 from msrcodes.storage import (ELEMENT_SIZE, HEADER_SIZE, extract, fail_nodes,
-                              ingest, load_cluster, run_repair, run_scenario)
+                              ingest, load_cluster, run_repair)
 
 
 def c3_spec(min_prime=257):
@@ -32,6 +32,14 @@ def test_ingest_100_bytes_padding(tmp_path):
     assert state.blocks == 1
     assert state.manifest["padding"] == 256 - 100
     assert extract(state) == payload
+
+
+def test_ingest_rejects_zero_blocks_before_writing(tmp_path):
+    root = tmp_path / "c"
+    for blocks in (0, -1):
+        with pytest.raises(ParameterError, match="blocks"):
+            ingest(None, c3_spec(min_prime=0), root, blocks=blocks)
+        assert not root.exists()
 
 
 def test_ingest_requires_byte_capable_prime(tmp_path):
@@ -219,55 +227,13 @@ def test_symbols_mode_roundtrip(tmp_path):
     extract(state)
 
 
-# ---------------------------------------------------------------------------
-# scenarios
-# ---------------------------------------------------------------------------
-
-def test_scenario_empty_steps():
-    assert run_scenario({"steps": []}) == {"steps": [], "ok": True}
-
-
 def test_scenario_corollary_sweep(tmp_path):
-    steps = [{"op": "ingest"}]
-    for h, d in [(1, 3), (1, 4), (1, 5), (2, 4)]:
+    """One c2 cluster repaired under every pattern it supports, in turn."""
+    patterns = [(1, 3), (1, 4), (1, 5), (2, 4)]
+    state = ingest(None, build("c2", 6, 2, patterns), tmp_path / "c", seed=1)
+    for h, d in patterns:
         nodes = list(range(1, h + 1))
-        helpers = list(range(h + 1, h + 1 + d))
-        steps += [{"op": "fail", "nodes": nodes},
-                  {"op": "repair", "nodes": nodes, "helpers": helpers, "h": h, "d": d},
-                  {"op": "verify"}]
-    cfg = {"family": "c2", "n": 6, "k": 2,
-           "patterns": [[1, 3], [1, 4], [1, 5], [2, 4]],
-           "seed": 1, "blocks": 1, "steps": steps}
-    report = run_scenario(cfg, root=tmp_path / "c")
-    assert report["ok"]
-    repairs = [s for s in report["steps"] if s["op"] == "repair"]
-    assert len(repairs) == 4 and all(s["optimal"] for s in repairs)
-
-
-def test_scenario_helper_count_mismatch_aborts_with_index(tmp_path):
-    cfg = {"family": "c3", "n": 6, "k": 2, "patterns": [[2, 4]], "seed": 0,
-           "steps": [{"op": "ingest"},
-                     {"op": "fail", "nodes": [1, 2]},
-                     {"op": "repair", "nodes": [1, 2], "helpers": [3, 4, 5],
-                      "h": 2, "d": 4}]}
-    with pytest.raises(ScenarioError) as exc:
-        run_scenario(cfg, root=tmp_path / "c")
-    assert exc.value.step == 2
-    assert exc.value.report["steps"][-1]["op"] == "fail"
-
-
-def test_scenario_step_before_ingest_or_with_no_nodes_aborts(tmp_path):
-    base = {"family": "c3", "n": 6, "k": 2, "patterns": [[2, 4]]}
-    repair_none = {"op": "repair", "nodes": [], "helpers": [3, 4, 5, 6], "h": 2, "d": 4}
-    for steps, step, message in (([{"op": "verify"}], 0, "verify before ingest"),
-                                 ([{"op": "ingest"}, repair_none], 1, "got 0")):
-        with pytest.raises(ScenarioError, match=message) as exc:
-            run_scenario({**base, "steps": steps}, root=tmp_path / "c")
-        assert exc.value.step == step
-
-
-def test_scenario_unknown_op(tmp_path):
-    with pytest.raises(ScenarioError) as exc:
-        run_scenario({"family": "c3", "n": 6, "k": 2, "patterns": [[2, 4]],
-                      "steps": [{"op": "frobnicate"}]}, root=tmp_path / "c")
-    assert exc.value.step == 0
+        fail_nodes(state, nodes)
+        state, t = run_repair(state, nodes, list(range(h + 1, h + 1 + d)), (h, d))
+        assert audit.verify_transcript(t, state.spec).conforming
+        extract(state)

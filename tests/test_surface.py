@@ -1,0 +1,25 @@
+import msrcodes
+from msrcodes import constructions, errors, field, grs, mixedradix, storage
+
+REMOVED = [
+    (msrcodes, ("FieldElement", "FieldMismatchError", "ScenarioError")),
+    (storage, ("run_scenario",)),
+    (errors, ("FieldMismatchError", "ScenarioError")),
+    (field, ("FieldElement",)),
+    (field.PrimeField, ("element", "__contains__", "sub")),
+    (mixedradix, ("Coordinate",)),
+    (mixedradix.CoordinateSystem, ("pack", "unpack", "ell")),
+    (grs, ("systematic_extend",)),
+    (constructions, ("node_point_matrix",)),
+]
+
+
+def test_public_surface_is_what_the_pipeline_calls():
+    for name in msrcodes.__all__:
+        assert getattr(msrcodes, name) is not None, name
+    namespace = {}
+    exec("from msrcodes import *", namespace)
+    assert set(msrcodes.__all__) <= set(namespace)
+    for owner, names in REMOVED:
+        for name in names:
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
