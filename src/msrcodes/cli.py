@@ -22,7 +22,7 @@ from .constructions import (Family, build, encode, mds_reconstruct, random_data,
                             spec_from_manifest, LAMBDA_RULE)
 from .errors import CorruptionError, MsrError, ParameterError
 from .field import PrimeField
-from .grs import GrsWord, erasure_decode
+from .grs import solve_vandermonde, syndrome_rhs
 from .hamming import build_partition
 
 
@@ -98,6 +98,9 @@ def cmd_params(args) -> tuple:
 
 def cmd_encode(args) -> tuple:
     seed = _seed(args)
+    if args.blocks is not None and (args.payload or args.random_bytes is not None):
+        raise ParameterError("--blocks applies only to synthetic symbols, "
+                             "not with --payload or --random-bytes")
     payload = None
     if args.payload:
         payload = Path(args.payload).read_bytes()
@@ -107,7 +110,8 @@ def cmd_encode(args) -> tuple:
         rng = np.random.default_rng(seed)
         payload = rng.integers(0, 256, size=args.random_bytes, dtype=np.uint8).tobytes()
     spec = _build_spec(args, min_prime=257 if payload is not None else 0)
-    state = storage.ingest(payload, spec, args.cluster, seed=seed, blocks=args.blocks)
+    state = storage.ingest(payload, spec, args.cluster, seed=seed,
+                           blocks=1 if args.blocks is None else args.blocks)
     info = {"cluster": str(args.cluster), "seed": seed, "blocks": state.blocks,
             "ell": spec.ell, "prime": spec.field.p,
             "digest": state.manifest["digest"], "padding": state.manifest["padding"]}
@@ -188,16 +192,17 @@ def cmd_selftest(args) -> tuple:
     def grs_oracle():
         f = PrimeField(5)
         pts = (1, 2, 3, 4)
-        words = []
-        for c in itertools.product(range(5), repeat=4):
-            if all(sum(pow(x, t, 5) * v for x, v in zip(pts, c)) % 5 == 0 for t in range(2)):
-                words.append(c)
-        assert len(words) == 25
-        for w in words:
-            for erased in itertools.combinations(range(4), 2):
-                vals = [None if i in erased else w[i] for i in range(4)]
-                dec = erasure_decode(GrsWord(f, pts, vals, 2))
-                assert tuple(dec.values) == w
+        words = np.array([c for c in itertools.product(range(5), repeat=4)
+                          if all(sum(pow(x, t, 5) * v for x, v in zip(pts, c)) % 5 == 0
+                                 for t in range(2))]).T
+        assert words.shape == (4, 25)
+        # one word per erasure pair, the 25 codewords as its right-hand sides
+        x = np.array([pts])
+        for erased in map(list, itertools.combinations(range(4), 2)):
+            kept = [i for i in range(4) if i not in erased]
+            rhs = syndrome_rhs(f, x[:, kept], words[None, kept], 2)
+            dec = solve_vandermonde(f, x[:, erased], rhs)[0]
+            assert np.array_equal(dec, words[erased])
 
     def c3_roundtrip():
         spec = build("c3", 6, 2, [(2, 4)])
@@ -275,8 +280,8 @@ def make_parser() -> _Parser:
                  spec, cluster, seed)
     sp.add_argument("--payload", type=Path, default=None)
     sp.add_argument("--random-bytes", type=int, default=None)
-    sp.add_argument("--blocks", type=int, default=1,
-                    help="synthetic-symbol block count when no payload is given")
+    sp.add_argument("--blocks", type=int, default=None,
+                    help="synthetic-symbol block count (default 1); not with a payload")
 
     sp = command("fail", cmd_fail, "erase node shards", cluster)
     sp.add_argument("--nodes", type=str, required=True)

@@ -82,7 +82,7 @@ class CodeSpec:
 
     @property
     def coords(self) -> CoordinateSystem:
-        return CoordinateSystem(self.s_m, self.n, self.s)
+        return CoordinateSystem(self.s_m, self.n)
 
     def lam_array(self) -> np.ndarray:
         return np.array(self.lam, dtype=np.int64)

@@ -10,7 +10,7 @@ class ParameterError(MsrError, ValueError):
 
 
 class CorruptionError(MsrError, RuntimeError):
-    """Data failed an integrity check (nonzero GRS residual, digest mismatch)."""
+    """Data failed an integrity check (digest or ledger mismatch, missing or malformed shard)."""
 
 
 class DataLossError(MsrError, RuntimeError):

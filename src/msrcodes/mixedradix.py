@@ -1,10 +1,10 @@
 """Mixed-radix coordinate calculus for array-code symbol indexing.
 
-A node stores ell = blocks * base^ndigits symbols.  Symbol tau splits as
-tau = b * base^ndigits + a, where a has a base-ary digit expansion
-a = sum_i a_i * base^(i-1) with 1-based digit positions (least significant
-digit first).  Digit positions are 1-based throughout so index expressions
-stay transcribable.
+A node stores ell = s * base^ndigits symbols, where the code fixes the
+b-block count s.  Symbol tau splits as tau = b * a_count + a, and only a has
+digits: a = sum_i a_i * base^(i-1) with 1-based digit positions (least
+significant digit first).  Digit positions are 1-based throughout so index
+expressions stay transcribable.
 
 This module is the one home of the digit arithmetic: the encoder's point
 table and every repair-group builder go through CoordinateSystem.digit and
@@ -23,11 +23,10 @@ from .errors import ParameterError
 class CoordinateSystem:
     base: int  # digit alphabet size
     ndigits: int  # number of digits in a
-    blocks: int  # number of b values
 
     def __post_init__(self):
-        if self.base < 1 or self.ndigits < 1 or self.blocks < 1:
-            raise ParameterError("base, ndigits and blocks must be >= 1")
+        if self.base < 1 or self.ndigits < 1:
+            raise ParameterError("base and ndigits must be >= 1")
 
     @property
     def a_count(self) -> int:

@@ -9,7 +9,7 @@ from msrcodes.mixedradix import CoordinateSystem
 
 def cyc_add(x: int, v: int, base: int) -> int:
     """Cyclic digit addition: shift_digits on a one-digit system."""
-    return CoordinateSystem(base, 1, 1).shift_digits(x, [1], v)
+    return CoordinateSystem(base, 1).shift_digits(x, [1], v)
 
 
 def from_digits(ds, base: int) -> int:
@@ -18,16 +18,16 @@ def from_digits(ds, base: int) -> int:
 
 
 def test_digits_examples():
-    assert CoordinateSystem(3, 3, 1).digits(5) == (2, 1, 0)  # 5 = 2 + 1*3
-    assert CoordinateSystem(4, 5, 1).digits(0) == (0, 0, 0, 0, 0)
-    assert CoordinateSystem(3, 3, 1).digits(26) == (2, 2, 2)
+    assert CoordinateSystem(3, 3).digits(5) == (2, 1, 0)  # 5 = 2 + 1*3
+    assert CoordinateSystem(4, 5).digits(0) == (0, 0, 0, 0, 0)
+    assert CoordinateSystem(3, 3).digits(26) == (2, 2, 2)
 
 
 def test_digits_range_check():
     with pytest.raises(ParameterError):
-        CoordinateSystem(3, 3, 1).digits(27)
+        CoordinateSystem(3, 3).digits(27)
     with pytest.raises(ParameterError):
-        CoordinateSystem(3, 3, 1).digits(-1)
+        CoordinateSystem(3, 3).digits(-1)
 
 
 def test_cyc_add_examples():
@@ -37,7 +37,7 @@ def test_cyc_add_examples():
         for x in range(base):
             assert cyc_add(x, 0, base) == x
     with pytest.raises(ParameterError):  # digit position outside the system
-        CoordinateSystem(3, 1, 1).shift_digits(2, [2], 0)
+        CoordinateSystem(3, 1).shift_digits(2, [2], 0)
 
 
 @pytest.mark.parametrize("base", [2, 3, 4, 5])
@@ -48,13 +48,13 @@ def test_cyc_add_is_bijection(base):
 
 
 def test_from_digits_roundtrip():
-    cs = CoordinateSystem(3, 4, 1)
+    cs = CoordinateSystem(3, 4)
     for a in range(cs.a_count):
         assert from_digits(cs.digits(a), 3) == a
 
 
 def test_shift_digits_matches_manual():
-    cs = CoordinateSystem(3, 4, 1)
+    cs = CoordinateSystem(3, 4)
     for a, v in itertools.product(range(cs.a_count), range(3)):
         shifted = cs.shift_digits(a, [2, 4], v)
         ds = list(cs.digits(a))
@@ -64,7 +64,7 @@ def test_shift_digits_matches_manual():
 
 
 def test_array_digit_and_shift_match_scalar():
-    cs = CoordinateSystem(3, 3, 2)
+    cs = CoordinateSystem(3, 3)
     a = np.arange(cs.a_count)
     d2 = cs.digit(a, 2)
     assert np.array_equal(d2, np.array([cs.digit(int(x), 2) for x in a]))

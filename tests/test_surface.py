@@ -10,6 +10,7 @@ REMOVED = [
     (mixedradix, ("Coordinate",)),
     (mixedradix.CoordinateSystem, ("pack", "unpack", "ell")),
     (grs, ("systematic_extend",)),
+    (grs, ("GrsWord", "ERASED", "erasure_decode", "syndromes")),
     (constructions, ("node_point_matrix",)),
 ]
 
