@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .field import PrimeField, next_prime
-from .grs import slices, solve_vandermonde, syndrome_rhs
+from .grs import apply_operator, block_slices, solve_vandermonde, syndrome_rhs
 from .mixedradix import CoordinateSystem
 
 LAMBDA_RULE = "row-consecutive-v1"  # lambda_{i,j} = (i-1)*s_m + j + 1
@@ -202,15 +202,46 @@ def node_points(spec: CodeSpec, nodes: Sequence[int], a) -> np.ndarray:
     return out
 
 
+def erasure_inputs(spec: CodeSpec, slot_nodes: Sequence[int], known_nodes: Sequence[int]):
+    """Kernel inputs (points, candidates, identity) of an erasure table.
+
+    Row t = sum_u t_u * s_m^u puts erased slot u (on node slot_nodes[u]; a
+    node may hold several) at digit t_u; column i*s_m + c is known node i at
+    digit c.  Rows that repeat a point, which no word has, borrow a valid
+    row's points.  solve_vandermonde(points, syndrome_rhs(candidates,
+    identity, e)) is the (s_m^e, e, m*s_m) table erasure_operator reads."""
+    s_m, e, lam = spec.s_m, len(slot_nodes), spec.lam_array()
+    digits = np.arange(s_m**e)[:, None] // s_m ** np.arange(e) % s_m
+    points = lam[np.asarray(slot_nodes) - 1, digits]
+    ordered = np.sort(points, axis=1)
+    repeats = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
+    points[repeats] = points[~repeats][0]
+    cand = lam[np.asarray(known_nodes) - 1].ravel()
+    eye = np.eye(cand.size, dtype=np.int64)
+    return points, np.broadcast_to(cand, (len(points),) + cand.shape), np.broadcast_to(
+        eye, (len(points),) + eye.shape)
+
+
+def erasure_operator(spec: CodeSpec, table: np.ndarray, slot_digits, known_digits):
+    """Per-word operators (e, m, L) read from an erasure table, given each
+    erased slot's digit (e arrays (L,)) and each known node's (m arrays)."""
+    _, e, width = table.shape
+    row = sum(dig * spec.s_m**u for u, dig in enumerate(slot_digits))
+    cols = np.arange(0, width, spec.s_m)[:, None] + np.stack(known_digits)
+    return np.moveaxis(table, 1, 0).reshape(e, -1)[:, row * width + cols]
+
+
 def complete_columns(spec: CodeSpec, known_nodes: Sequence[int],
                      known: np.ndarray) -> np.ndarray:
     """Fill the remaining r node columns so every plane's checks vanish.
 
     known: (B, k, ell) residues for the 1-based known_nodes.  Returns
-    (B, n, ell).  Exactly k known nodes are required; the solve per plane is
-    then uniquely determined.
+    (B, n, ell).  Exactly k known nodes are required; a plane's r erased
+    symbols are then its erasure operator applied to its k known ones.  One
+    kernel solve builds the operator table, and each slice reads its planes'
+    operators from it and applies them in place on out.
     """
-    n, k, r = spec.n, spec.k, spec.r
+    n, k, r, p = spec.n, spec.k, spec.r, spec.field.p
     nodes = [int(j) for j in known_nodes]
     if len(nodes) != k or len(set(nodes)) != k:
         raise ParameterError(f"need exactly {k} distinct node indices")
@@ -225,22 +256,21 @@ def complete_columns(spec: CodeSpec, known_nodes: Sequence[int],
 
     out = np.empty((B, n, spec.ell), dtype=np.int64)
     for i, j in enumerate(nodes):
-        np.remainder(known[:, i], spec.field.p, out=out[:, j - 1])
+        np.remainder(known[:, i], p, out=out[:, j - 1])
     kept = sorted(nodes)
     erased = [j for j in range(1, n + 1) if j not in nodes]
-    A, S = spec.s_m**spec.n, spec.s
+    points, cand, eye = erasure_inputs(spec, erased, kept)
+    table = solve_vandermonde(spec.field, points, syndrome_rhs(spec.field, cand, eye, r))
+    coords, A, S = spec.coords, spec.s_m**n, spec.s
     # column layout: tau = b*A + a  ->  (B, n, S, A), a view of out
     planes = out.reshape(B, n, S, A)
-    rows = [j - 1 for j in kept]
-    for a0, a1 in slices(A, n * B * S):
-        vals = planes[:, rows, :, a0:a1].transpose(3, 1, 0, 2).reshape(a1 - a0, k, B * S)
-        # (planes, nodes) points in C order, like vals: on a 2-vCPU VM the bare
-        # transpose ran 1 MiB cluster encodes ~6% slower (c1(10,6) ~20% faster)
+    for (a0, a1), blocks in block_slices(B, A, n * S, r * k):
         a = np.arange(a0, a1)
-        rhs = syndrome_rhs(spec.field, np.ascontiguousarray(node_points(spec, kept, a).T), vals, r)
-        x = solve_vandermonde(spec.field, np.ascontiguousarray(node_points(spec, erased, a).T), rhs)
-        for rank, j in enumerate(erased):
-            planes[:, j - 1, :, a0:a1] = x[:, rank, :].reshape(a1 - a0, B, S).transpose(1, 2, 0)
+        op = erasure_operator(spec, table, [coords.digit(a, j) for j in erased],
+                              [coords.digit(a, j) for j in kept])
+        for b0, b1 in blocks:
+            apply_operator(p, op, [planes[b0:b1, j - 1, :, a0:a1] for j in kept],
+                           [planes[b0:b1, j - 1, :, a0:a1] for j in erased])
     return out
 
 
@@ -271,14 +301,21 @@ def verify_planes(spec: CodeSpec, columns: np.ndarray) -> bool:
     B = cols.shape[0]
     if cols.shape[1:] != (spec.n, spec.ell):
         raise ParameterError("column array shape mismatch")
-    n, A, S = spec.n, spec.s_m**spec.n, spec.s
+    n, r, p, A, S = spec.n, spec.r, spec.field.p, spec.s_m**spec.n, spec.s
+    if cols.size and (cols.min() < 0 or cols.max() >= p):
+        cols = cols % p
     planes = cols.reshape(B, n, S, A)
-    for a0, a1 in slices(A, n * B * S):
-        vals = planes[..., a0:a1].transpose(3, 1, 0, 2).reshape(a1 - a0, n, B * S) % spec.field.p
-        a = np.arange(a0, a1)
-        pts = np.ascontiguousarray(node_points(spec, range(1, n + 1), a).T)
-        if np.any(syndrome_rhs(spec.field, pts, vals, spec.r)):
-            return False
+    for (a0, a1), blocks in block_slices(B, A, n * S, r * n):
+        # the checks as an operator: op[t, j] = (point of node j)^t per plane
+        pts = node_points(spec, range(1, n + 1), np.arange(a0, a1))
+        op = np.ones((r, n, a1 - a0), dtype=np.int64)
+        for t in range(1, r):
+            op[t] = op[t - 1] * pts % p
+        for b0, b1 in blocks:
+            syn = np.empty((r, b1 - b0, S, a1 - a0), dtype=np.int64)
+            apply_operator(p, op, np.moveaxis(planes[b0:b1, ..., a0:a1], 1, 0), syn)
+            if syn.any():
+                return False
     return True
 
 

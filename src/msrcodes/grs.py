@@ -2,16 +2,18 @@
 
 A word (c_1, ..., c_L) on distinct evaluation points (x_1, ..., x_L) satisfies
 r parity checks  sum_i x_i^(t-1) * c_i = 0  for t in [r].  Every plane of a
-code and every repair group is such a word, and two batched kernels decode
-them all: syndrome_rhs moves the known entries to the right-hand side, and
-solve_vandermonde fills up to r erased entries from it.
+code and every repair group is such a word.  Its e erased entries are
+x_E = C x_K (mod p) for the (e x m) erasure operator C = -V_E^-1 V_K of its
+points.  The two batched kernels build operators, not decode words:
+syndrome_rhs moves known entries to the right-hand side, and
+solve_vandermonde fills the erased ones, so on an identity right-hand side
+they give the columns of C.  apply_operator applies per-word operators in
+place, over the slices of block_slices.
 
 Both kernels take one shape: points (G, m), one row of distinct points per
 word, and values or rhs (G, m, R), R right-hand sides per word.  Elimination
 needs no pivoting: every leading minor of a Vandermonde matrix on distinct
-points is itself a Vandermonde determinant, hence nonzero.  Callers run them
-over the slices of `slices`, so their temporaries stay near SLICE_BUDGET
-elements however many planes or groups a code has.
+points is itself a Vandermonde determinant, hence nonzero.
 """
 
 from __future__ import annotations
@@ -35,6 +37,33 @@ def slices(count: int, per_item: int):
     step = max(1, SLICE_BUDGET // max(1, per_item))
     for start in range(0, count, step):
         yield start, min(start + step, count)
+
+
+def block_slices(blocks: int, count: int, per_item: int, op_per_item: int):
+    """((start, stop), block ranges) pairs over `blocks` blocks of `count` words,
+    blocks first: all words with runs of whole blocks while one block and its
+    operator fit SLICE_BUDGET, else word ranges of one block at a time.  A word
+    holds per_item elements per block plus op_per_item operator elements."""
+    if count * (per_item + op_per_item) <= SLICE_BUDGET:
+        return [((0, count), list(slices(blocks, count * per_item)))]
+    return [(w, [(b, b + 1) for b in range(blocks)]) for w in slices(count, per_item + op_per_item)]
+
+
+def apply_operator(p: int, op: np.ndarray, values, out) -> None:
+    """out[u] = sum_i op[u, i] * values[i] (mod p) in place; op (U, I, L)
+    broadcasts along the last axis of the residue arrays values[i] and out[u].
+    The % p is deferred: a carry below p plus `fold` products of at most
+    (p-1)^2 stay <= 2^63 - 1, so it reduces once per `fold` terms (2^47 at
+    p = 257, which no word reaches; 2 at p = 2^31 - 1)."""
+    fold = (2**63 - p) // (p - 1) ** 2
+    tmp = np.empty_like(out[0])
+    for u, acc in enumerate(out):
+        np.multiply(op[u, 0], values[0], out=acc)
+        for i in range(1, len(values)):
+            if i % fold == 0:
+                np.remainder(acc, p, out=acc)
+            acc += np.multiply(op[u, i], values[i], out=tmp)
+        np.remainder(acc, p, out=acc)
 
 
 def solve_vandermonde(field: PrimeField, points: np.ndarray, rhs: np.ndarray) -> np.ndarray:

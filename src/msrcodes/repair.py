@@ -11,11 +11,11 @@ assemble a [d+r, d] GRS word:
 
 Helpers transmit their sum slot (one field element per group); the word then
 has exactly r erasures (the member symbols, the sums of the other failed
-nodes, and the sums of idle nodes) and is solved by Vandermonde elimination.
+nodes, and the sums of idle nodes), filled by the group's erasure operator.
 A plan stores only each group's aggregation coordinates (agg_tau); the solve
-looks up every slot's evaluation point with constructions.node_points, slice
-by slice, in one fixed order: known slots are the helpers ascending; erased
-slots are the members' (j, w) slots, then the other non-helpers ascending.
+reads every slot's digit from them, slice by slice, in one fixed order:
+known slots are the helpers ascending; erased slots are the members' (j, w)
+slots, then the other non-helpers ascending.
 Families with more than one member set (C3, C4, Hadamard) run a second,
 download-free step: each remaining coordinate of a failed node equals its
 recovered group sum minus symbols already known from step 1.
@@ -42,9 +42,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import audit
-from .constructions import CodeSpec, Family, node_points
+from .constructions import CodeSpec, Family, erasure_inputs, erasure_operator
 from .errors import ParameterError
-from .grs import slices, solve_vandermonde, syndrome_rhs
+from .grs import apply_operator, block_slices, solve_vandermonde, syndrome_rhs
 from .hamming import build_partition
 
 
@@ -98,24 +98,6 @@ class HelperPayload:
 # family builder
 # ---------------------------------------------------------------------------
 
-def _make_family(spec: CodeSpec, index: int, members: tuple, helpers: tuple,
-                 agg_tau: np.ndarray) -> GroupFamily:
-    n, r, d = spec.n, spec.r, len(helpers)
-    W = agg_tau.shape[1]
-    if len(members) * W + n - len(members) - d != r:
-        raise ParameterError("group shape incompatible with pattern (internal)")
-    # d + r distinct points per group: the lam entries are distinct, so this
-    # holds iff each member's W digits differ within every group
-    agg_a = agg_tau % spec.coords.a_count
-    for j in members:
-        digits = np.sort(spec.coords.digit(agg_a, j), axis=1)
-        if np.any(digits[:, 1:] == digits[:, :-1]):
-            raise ParameterError("repeated evaluation point in a repair group (internal)")
-    others = tuple(j for j in range(1, n + 1) if j not in members)
-    return GroupFamily(index=index, members=members, width=W, agg_tau=agg_tau,
-                       others=others)
-
-
 def _orbit_family(spec: CodeSpec, index: int, P: tuple, R: tuple,
                   a_base: np.ndarray, b_table: np.ndarray) -> GroupFamily:
     """The family whose groups are digit-shift orbits of the planes a_base.
@@ -125,11 +107,20 @@ def _orbit_family(spec: CodeSpec, index: int, P: tuple, R: tuple,
 
         agg_tau[u*G + g, v] = b_table[u, v] * A + shift_P(a_base[g], v)
     """
-    coords = spec.coords
-    W = b_table.shape[1]
+    coords, W = spec.coords, b_table.shape[1]
+    if len(P) * W + spec.n - len(P) - len(R) != spec.r:
+        raise ParameterError("group shape incompatible with pattern (internal)")
     shifted = np.stack([coords.shift_digits(a_base, P, v) for v in range(W)], axis=1)
     agg_tau = (b_table[:, None, :] * coords.a_count + shifted[None]).reshape(-1, W)
-    return _make_family(spec, index, P, R, agg_tau)
+    # d + r distinct points per group: the lam entries are distinct, so this
+    # holds iff each member's W digits differ within every group.  (Checked
+    # after agg_tau is made: temporaries made before it raised c1 peak RSS.)
+    for j in P:
+        digits = np.sort(coords.digit(shifted, j), axis=1)
+        if np.any(digits[:, 1:] == digits[:, :-1]):
+            raise ParameterError("repeated evaluation point in a repair group (internal)")
+    return GroupFamily(index=index, members=P, width=W, agg_tau=agg_tau,
+                       others=tuple(j for j in range(1, spec.n + 1) if j not in P))
 
 
 # ---------------------------------------------------------------------------
@@ -226,32 +217,42 @@ def _payload_matrix(plan_: RepairPlan, payloads) -> np.ndarray:
 
 
 def repair_columns(plan_: RepairPlan, payload_matrix: np.ndarray) -> np.ndarray:
-    """Solve all groups and run the subtraction step; returns (h, B, ell)."""
-    spec = plan_.spec
-    p, A = spec.field.p, spec.coords.a_count
+    """Solve all groups and run the subtraction step; returns (h, B, ell).
+
+    A group's r erased slots are its (r x d) erasure operator applied to the
+    d helper sums.  The operator depends only on the digits of the erased
+    slots (an erasure table row) and of the helpers, so one kernel solve per
+    family builds the table, and each slice reads its groups' operators from
+    it and applies them to the payload matrix in place.
+    """
+    spec, helpers, r = plan_.spec, plan_.helpers, plan_.spec.r
+    p, A, coords = spec.field.p, spec.coords.a_count, spec.coords
     B = payload_matrix.shape[1]
     restored = np.zeros((len(plan_.failed), B, spec.ell), dtype=np.int64)
     node_row = {j: i for i, j in enumerate(plan_.failed)}
 
     sums, start = [], 0
     for fam in plan_.families:
-        erased_others = tuple(j for j in fam.others if j not in plan_.helpers)
-        M = len(fam.members) * fam.width
+        # erased slots: (member, w), then (other non-helper, None)
+        slots = [(j, w) for j in fam.members for w in range(fam.width)]
+        slots += [(j, None) for j in fam.others if j not in helpers]
+        points, cand, eye = erasure_inputs(spec, [j for j, _ in slots], helpers)
+        table = solve_vandermonde(spec.field, points, syndrome_rhs(spec.field, cand, eye, r))
         fam_sums = {j: np.empty((B, fam.group_count), dtype=np.int64)
-                    for j in erased_others if j in node_row}
-        for g0, g1 in slices(fam.group_count, (len(plan_.helpers) + spec.r) * B):
-            vals = payload_matrix[:, :, start + g0:start + g1].transpose(2, 0, 1)  # (g, d, B)
-            a = fam.agg_tau[g0:g1].T % A                                          # (W, g)
-            known = node_points(spec, plan_.helpers, a[0]).T
-            erased = np.concatenate([node_points(spec, fam.members, a).reshape(M, g1 - g0),
-                                     node_points(spec, erased_others, a[0])]).T
-            x = solve_vandermonde(spec.field, erased, syndrome_rhs(spec.field, known, vals, spec.r))
-            for m, j in enumerate(fam.members):
-                for w in range(fam.width):
-                    restored[node_row[j]][:, fam.agg_tau[g0:g1, w]] = x[:, m * fam.width + w, :].T
-            for i, j in enumerate(erased_others):
-                if j in fam_sums:
-                    fam_sums[j][:, g0:g1] = x[:, M + i, :].T
+                    for j, w in slots if w is None and j in node_row}
+        for (g0, g1), blocks in block_slices(B, fam.group_count, len(helpers) + r,
+                                             r * len(helpers)):
+            a = fam.agg_tau[g0:g1] % A                                    # (g, W)
+            op = erasure_operator(spec, table, [coords.digit(a[:, w or 0], j) for j, w in slots],
+                                  [coords.digit(a[:, 0], j) for j in helpers])
+            for b0, b1 in blocks:
+                x = np.empty((r, b1 - b0, g1 - g0), dtype=np.int64)
+                apply_operator(p, op, payload_matrix[:, b0:b1, start + g0:start + g1], x)
+                for (j, w), xu in zip(slots, x):
+                    if w is not None:
+                        restored[node_row[j]][b0:b1, fam.agg_tau[g0:g1, w]] = xu
+                    elif j in fam_sums:
+                        fam_sums[j][b0:b1, g0:g1] = xu
         sums += [(fam, j, acc) for j, acc in fam_sums.items()]
         start += fam.group_count
 

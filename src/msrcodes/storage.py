@@ -299,16 +299,17 @@ def run_repair(state: ClusterState, failed: Sequence[int], helpers: Sequence[int
 
 def extract(state: ClusterState) -> bytes:
     """Decode the original payload from the first k alive shards, each checked
-    against its manifest digest, and verify the payload digest."""
+    against its manifest digest, and verify the payload digest.  Shards 1..k
+    hold the data as it is; only without one of them is anything decoded."""
     spec = state.spec
     alive = state.alive_nodes()
     if len(alive) < spec.k:
         raise DataLossError(f"only {len(alive)} alive nodes, need {spec.k}")
     use = alive[:spec.k]
-    cols = np.stack([read_shard(state.shard_path(j), digest=state.shard_digest(j))[1]
+    data = np.stack([read_shard(state.shard_path(j), digest=state.shard_digest(j))[1]
                      .reshape(state.blocks, spec.ell) for j in use], axis=1)  # (B, k, ell)
-    full = complete_columns(spec, use, cols)
-    data = full[:, :spec.k, :]  # systematic nodes 1..k
+    if use != list(range(1, spec.k + 1)):  # decode the systematic nodes 1..k
+        data = complete_columns(spec, use, data)[:, :spec.k]
     if state.manifest["mode"] == "bytes":
         raw = data.reshape(-1).astype(np.uint8).tobytes()
         payload = raw[:state.manifest["payload_len"]]

@@ -181,6 +181,37 @@ def test_extract_names_a_missing_shard(tmp_path):
         extract(state)
 
 
+def test_extract_reads_the_systematic_shards_without_decoding(tmp_path, monkeypatch):
+    payload = bytes(range(256)) * 3
+    state = ingest(payload, c3_spec(), tmp_path / "c")
+    read = []
+    real_read = storage.read_shard
+
+    def read_shard(path, log=None, digest=None):
+        read.append((path.name, digest))
+        return real_read(path, log=log, digest=digest)
+
+    def complete_columns(*args):
+        raise AssertionError("extract decoded with every systematic shard alive")
+
+    monkeypatch.setattr(storage, "read_shard", read_shard)
+    monkeypatch.setattr(storage, "complete_columns", complete_columns)
+    assert extract(state) == payload
+    assert read == [("node_01.shard", state.shard_digest(1)),
+                    ("node_02.shard", state.shard_digest(2))]
+
+
+@pytest.mark.parametrize("failed", [[1], [2], [1, 2], [1, 3, 5]])
+def test_extract_decodes_without_a_systematic_shard(failed, tmp_path):
+    payload = bytes(range(256)) * 3
+    state = ingest(payload, c3_spec(), tmp_path / "c")
+    fail_nodes(state, failed)
+    assert extract(state) == payload
+    symbols = ingest(None, c3_spec(min_prime=0), tmp_path / "s", seed=3, blocks=4)
+    fail_nodes(symbols, failed)
+    extract(symbols)   # raises unless the payload digest matches
+
+
 @pytest.mark.parametrize("blob", [b"", b"MSR1\x01\x00"], ids=["empty", "partial-header"])
 def test_read_shard_names_a_file_shorter_than_the_header(blob, tmp_path):
     path = tmp_path / "node_01.shard"

@@ -5,13 +5,15 @@ fall, and it must keep the kernels' temporaries near grs.SLICE_BUDGET
 elements instead of growing with ell.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from msrcodes import grs
-from msrcodes.constructions import build, encode_blocks, mds_reconstruct, random_data, verify_planes
+from msrcodes import constructions, grs, repair
+from msrcodes.constructions import (build, complete_columns, encode_blocks, mds_reconstruct,
+                                    random_data, verify_planes)
 from msrcodes.repair import center_repair, helper_aggregate, plan
 
 SPECS = {  # name: (family, n, k, patterns)
@@ -81,6 +83,72 @@ def test_group_slices_do_not_change_repairs(monkeypatch, name, failed, helpers, 
         again, record = center_repair(pl, payloads)
         assert all(np.array_equal(again[j], restored[j]) for j in failed)
         assert record.to_json() == transcript.to_json()
+
+
+def _all_budgets(spec, blocks):
+    """The default budget, the plane-slice budgets, and one that slices whole
+    blocks two at a time (a block holds A*n*s elements and A*r*k operator
+    elements)."""
+    A = spec.s_m**spec.n
+    whole_blocks = A * (2 * spec.n * spec.s + spec.r * spec.k)
+    return [grs.SLICE_BUDGET, whole_blocks] + _plane_budgets(spec, blocks)
+
+
+def _count_solves(monkeypatch, module):
+    calls = []
+    real = module.solve_vandermonde
+
+    def solve_vandermonde(*args):
+        calls.append(args[1].shape)
+        return real(*args)
+
+    monkeypatch.setattr(module, "solve_vandermonde", solve_vandermonde)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_every_k_subset_decodes_to_the_codeword(name):
+    """The erasure operator from every k-subset, so the erased nodes sit on
+    low, high and mixed digits, against the encoder's codewords."""
+    spec = build(*SPECS[name])
+    data = random_data(spec, np.random.default_rng(2), blocks=BLOCKS)
+    encoded = encode_blocks(spec, data)
+    assert np.array_equal(encoded[:, :spec.k], data) and verify_planes(spec, encoded)
+    for kept in itertools.combinations(range(1, spec.n + 1), spec.k):
+        rows = [j - 1 for j in kept]
+        assert np.array_equal(complete_columns(spec, kept, encoded[:, rows]), encoded), kept
+        assert np.array_equal(mds_reconstruct(spec, kept, encoded[-1, rows]).columns, encoded[-1])
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_complete_columns_solves_once_per_call(monkeypatch, name):
+    spec = build(*SPECS[name])
+    n, k = spec.n, spec.k
+    encoded = encode_blocks(spec, random_data(spec, np.random.default_rng(4), blocks=BLOCKS))
+    calls = _count_solves(monkeypatch, constructions)
+    for budget in _all_budgets(spec, BLOCKS):
+        monkeypatch.setattr(grs, "SLICE_BUDGET", budget)
+        for kept in (range(1, k + 1), range(n - k + 1, n + 1), range(1, 2 * k, 2)):
+            calls.clear()
+            rows = [j - 1 for j in kept]
+            assert np.array_equal(complete_columns(spec, kept, encoded[:, rows]), encoded)
+            assert len(calls) == 1, (budget, list(kept))
+            assert calls[0][0] <= spec.s_m**spec.r   # one table row per erased-digit tuple
+
+
+@pytest.mark.parametrize("name, failed, helpers, pattern", REPAIRS)
+def test_repair_solves_once_per_family(monkeypatch, name, failed, helpers, pattern):
+    spec = build(*SPECS[name])
+    columns = encode_blocks(spec, random_data(spec, np.random.default_rng(6), blocks=BLOCKS))
+    pl = plan(spec, failed, helpers, pattern)
+    payloads = [helper_aggregate(pl, j, columns[:, j - 1]) for j in pl.helpers]
+    calls = _count_solves(monkeypatch, repair)
+    for budget in (grs.SLICE_BUDGET, 1, 3 * (len(helpers) + spec.r) * BLOCKS):
+        monkeypatch.setattr(grs, "SLICE_BUDGET", budget)
+        calls.clear()
+        restored, _ = center_repair(pl, payloads)
+        assert all(np.array_equal(restored[j], columns[:, j - 1]) for j in failed)
+        assert len(calls) == len(pl.families), budget
 
 
 def test_slices_cover_the_range_in_budget_sized_steps(monkeypatch):
