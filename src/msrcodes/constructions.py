@@ -295,15 +295,14 @@ def mds_reconstruct(spec: CodeSpec, surviving_nodes: Sequence[int],
 
 def verify_planes(spec: CodeSpec, columns: np.ndarray) -> bool:
     """True iff every plane of (n, ell) or (B, n, ell) columns has zero syndromes."""
-    cols = np.asarray(columns, dtype=np.int64)
+    cols = np.asarray(columns)
     if cols.ndim == 2:
         cols = cols[None]
     B = cols.shape[0]
     if cols.shape[1:] != (spec.n, spec.ell):
         raise ParameterError("column array shape mismatch")
     n, r, p, A, S = spec.n, spec.r, spec.field.p, spec.s_m**spec.n, spec.s
-    if cols.size and (cols.min() < 0 or cols.max() >= p):
-        cols = cols % p
+    cols = spec.field.residues(cols)
     planes = cols.reshape(B, n, S, A)
     for (a0, a1), blocks in block_slices(B, A, n * S, r * n):
         # the checks as an operator: op[t, j] = (point of node j)^t per plane

@@ -51,6 +51,15 @@ class PrimeField:
         if self.p >= _MAX_PRIME:
             raise ParameterError(f"modulus {self.p} too large (must be < 2^31)")
 
+    def residues(self, values) -> np.ndarray:
+        """values as int64 residues in [0, p), reduced only if an entry lies
+        outside that range (checked in values' own dtype, so u64 entries
+        >= 2^63 reduce exactly); int64 residues come back uncopied."""
+        x = np.asarray(values)
+        if x.size and (x.min() < 0 or x.max() >= self.p):
+            x = x % self.p
+        return x.astype(np.int64, copy=False)
+
     def add(self, x, y):
         return (x + y) % self.p
 

@@ -12,8 +12,10 @@ assemble a [d+r, d] GRS word:
 Helpers transmit their sum slot (one field element per group); the word then
 has exactly r erasures (the member symbols, the sums of the other failed
 nodes, and the sums of idle nodes), filled by the group's erasure operator.
-A plan stores only each group's aggregation coordinates (agg_tau); the solve
-reads every slot's digit from them, slice by slice, in one fixed order:
+A plan stores only each group's aggregation coordinates (agg_tau), slot-major:
+agg_tau[:, w] is contiguous, so a helper sums its column over a family with
+one take per slot and one % p, and the solve reads every slot's digit from
+them, slice by slice, in one fixed order:
 known slots are the helpers ascending; erased slots are the members' (j, w)
 slots, then the other non-helpers ascending.
 Families with more than one member set (C3, C4, Hadamard) run a second,
@@ -55,7 +57,8 @@ class GroupFamily:
     index: int                # 1-based partition index i
     members: tuple            # P_i, ascending node ids
     width: int                # symbols recovered per member per group
-    agg_tau: np.ndarray       # (G, width) packed aggregation coordinates
+    agg_tau: np.ndarray       # (G, width) packed aggregation coordinates,
+                              # slot-major: each agg_tau[:, w] is contiguous
     others: tuple             # nodes outside P, ascending
 
     @property
@@ -110,15 +113,20 @@ def _orbit_family(spec: CodeSpec, index: int, P: tuple, R: tuple,
     coords, W = spec.coords, b_table.shape[1]
     if len(P) * W + spec.n - len(P) - len(R) != spec.r:
         raise ParameterError("group shape incompatible with pattern (internal)")
-    shifted = np.stack([coords.shift_digits(a_base, P, v) for v in range(W)], axis=1)
-    agg_tau = (b_table[:, None, :] * coords.a_count + shifted[None]).reshape(-1, W)
+    # slot-major: row v of the (W, G) buffer is slot v of every group, so
+    # each agg_tau[:, v] is contiguous
+    shifted = [coords.shift_digits(a_base, P, v) for v in range(W)]
+    slot_major = np.empty((W, b_table.shape[0] * len(a_base)), dtype=np.int64)
+    for v, row in enumerate(slot_major):
+        np.add(b_table[:, v, None] * coords.a_count, shifted[v], out=row.reshape(-1, len(a_base)))
     # d + r distinct points per group: the lam entries are distinct, so this
     # holds iff each member's W digits differ within every group.  (Checked
     # after agg_tau is made: temporaries made before it raised c1 peak RSS.)
     for j in P:
-        digits = np.sort(coords.digit(shifted, j), axis=1)
-        if np.any(digits[:, 1:] == digits[:, :-1]):
+        digits = [coords.digit(a, j) for a in shifted]
+        if any(np.any(digits[v] == digits[w]) for w in range(W) for v in range(w)):
             raise ParameterError("repeated evaluation point in a repair group (internal)")
+    agg_tau = slot_major.T
     return GroupFamily(index=index, members=P, width=W, agg_tau=agg_tau,
                        others=tuple(j for j in range(1, spec.n + 1) if j not in P))
 
@@ -190,19 +198,35 @@ def plan(spec: CodeSpec, failed: Sequence[int], helpers: Sequence[int],
 
 def helper_aggregate(plan_: RepairPlan, helper: int, column: np.ndarray) -> HelperPayload:
     """One aggregated element per group: the sum of the helper's own column
-    over the group's aggregation coordinates."""
+    over the group's aggregation coordinates.
+
+    column is (ell,) or (B, ell); it is reduced mod p only if an entry lies
+    outside [0, p).  Each family adds one take per slot into the output and
+    reduces once.
+    """
     if helper not in plan_.helpers:
         raise ParameterError(f"node {helper} is not in the helper set")
-    col = np.asarray(column, dtype=np.int64) % plan_.spec.field.p
+    p = plan_.spec.field.p
+    col = plan_.spec.field.residues(column)
     if col.shape[-1] != plan_.spec.ell:
         raise ParameterError(f"column length {col.shape[-1]} != ell={plan_.spec.ell}")
-    parts = [col[..., fam.agg_tau].sum(axis=-1) % plan_.spec.field.p
-             for fam in plan_.families]
-    return HelperPayload(helper, np.concatenate(parts, axis=-1))
+    out = np.empty(col.shape[:-1] + (plan_.per_helper,), dtype=np.int64)
+    start = 0
+    for fam in plan_.families:
+        acc = out[..., start:start + fam.group_count]
+        take = np.empty_like(acc)
+        # mode="clip" writes into out unbuffered; plan indices are below ell
+        np.take(col, fam.agg_tau[:, 0], axis=-1, out=acc, mode="clip")
+        for w in range(1, fam.width):
+            acc += np.take(col, fam.agg_tau[:, w], axis=-1, out=take, mode="clip")
+        np.remainder(acc, p, out=acc)
+        start += fam.group_count
+    return HelperPayload(helper, out)
 
 
 def _payload_matrix(plan_: RepairPlan, payloads) -> np.ndarray:
-    """Payloads reduced mod p into one (d, B, per_helper) int64 array, helper order."""
+    """Payloads as residues in one (d, B, per_helper) int64 array, helper order;
+    a payload is reduced mod p only if an entry lies outside [0, p)."""
     by_node = {int(pl.helper): np.atleast_2d(pl.values) for pl in payloads}
     if set(by_node) != set(plan_.helpers):
         raise ParameterError("payloads do not match the helper set")
@@ -212,7 +236,7 @@ def _payload_matrix(plan_: RepairPlan, payloads) -> np.ndarray:
         if by_node[j].shape != out.shape:
             raise ParameterError(
                 f"helper {j} payload has shape {by_node[j].shape}, expected {out.shape}")
-        np.remainder(by_node[j], plan_.spec.field.p, out=out)
+        out[...] = plan_.spec.field.residues(by_node[j])
     return matrix
 
 
@@ -226,7 +250,7 @@ def repair_columns(plan_: RepairPlan, payload_matrix: np.ndarray) -> np.ndarray:
     it and applies them to the payload matrix in place.
     """
     spec, helpers, r = plan_.spec, plan_.helpers, plan_.spec.r
-    p, A, coords = spec.field.p, spec.coords.a_count, spec.coords
+    p, coords = spec.field.p, spec.coords
     B = payload_matrix.shape[1]
     restored = np.zeros((len(plan_.failed), B, spec.ell), dtype=np.int64)
     node_row = {j: i for i, j in enumerate(plan_.failed)}
@@ -242,7 +266,7 @@ def repair_columns(plan_: RepairPlan, payload_matrix: np.ndarray) -> np.ndarray:
                     for j, w in slots if w is None and j in node_row}
         for (g0, g1), blocks in block_slices(B, fam.group_count, len(helpers) + r,
                                              r * len(helpers)):
-            a = fam.agg_tau[g0:g1] % A                                    # (g, W)
+            a = fam.agg_tau[g0:g1]   # (g, W); b*A + a has the digits of a
             op = erasure_operator(spec, table, [coords.digit(a[:, w or 0], j) for j, w in slots],
                                   [coords.digit(a[:, 0], j) for j in helpers])
             for b0, b1 in blocks:
@@ -259,9 +283,9 @@ def repair_columns(plan_: RepairPlan, payload_matrix: np.ndarray) -> np.ndarray:
     # step 2: no download; peel the recovered sums with already-known symbols
     for fam, j, acc in sums:
         row = restored[node_row[j]]
-        if fam.width > 1:
-            acc = (acc - row[:, fam.agg_tau[:, :-1]].sum(axis=-1)) % p
-        row[:, fam.agg_tau[:, -1]] = acc % p
+        for w in range(fam.width - 1):
+            acc -= np.take(row, fam.agg_tau[:, w], axis=-1)
+        row[:, fam.agg_tau[:, -1]] = np.remainder(acc, p, out=acc)
     return restored
 
 

@@ -84,7 +84,8 @@ def _shard_blob(spec: CodeSpec, node: int, elements: np.ndarray) -> bytes:
 
 
 def write_shard(path: Path, spec: CodeSpec, node: int, elements: np.ndarray) -> str:
-    """Write one node's elements; returns the file's SHA-256 hex digest."""
+    """Write one node's elements; returns the file's SHA-256 hex digest.
+    Ingest writes through here; run_repair writes its verified blobs itself."""
     blob = _shard_blob(spec, node, elements)
     _atomic_write(path, blob)
     return hashlib.sha256(blob).hexdigest()
@@ -110,12 +111,12 @@ def read_shard(path: Path, log: Optional[AccessLog] = None,
     magic, version, node, n, k, tag, count, p = HEADER.unpack(blob[:HEADER_SIZE])
     if magic != MAGIC or version != VERSION:
         raise CorruptionError(f"{path}: bad shard magic/version")
-    elements = np.frombuffer(blob[HEADER_SIZE:], dtype="<u8").astype(np.int64)
-    if elements.size != count:
+    raw = np.frombuffer(blob[HEADER_SIZE:], dtype="<u8")
+    if raw.size != count:
         raise CorruptionError(f"{path}: element count mismatch")
-    if np.any(elements >= p):
+    if np.any(raw >= p):  # on the u64 values: as int64, one >= 2^63 reads negative
         raise CorruptionError(f"{path}: element >= p")
-    return node, elements
+    return node, raw.astype(np.int64)
 
 
 def read_elements(path: Path, indices: np.ndarray, log: Optional[AccessLog] = None) -> np.ndarray:
@@ -281,14 +282,15 @@ def run_repair(state: ClusterState, failed: Sequence[int], helpers: Sequence[int
     if any(p.endswith(".shard") for p in center_log.by_path):
         raise CorruptionError("data center touched a shard file directly")
 
-    # verify every restored shard in memory before any of them reaches disk
-    for j in failed:
-        digest = hashlib.sha256(_shard_blob(spec, j, restored[j])).hexdigest()
-        if digest != state.shard_digest(j):
+    # verify every restored shard in memory before any of them reaches disk,
+    # then write the very blobs that were hashed
+    blobs = {j: _shard_blob(spec, j, restored[j]) for j in failed}
+    for j, blob in blobs.items():
+        if hashlib.sha256(blob).hexdigest() != state.shard_digest(j):
             raise CorruptionError(f"restored shard for node {j} does not match "
                                   "its pre-failure digest")
-    for j in failed:
-        write_shard(state.shard_path(j), spec, j, restored[j])
+    for j, blob in blobs.items():
+        _atomic_write(state.shard_path(j), blob)
         state.manifest["statuses"][str(j)] = ALIVE
     state.manifest.setdefault("repairs", []).append(transcript.to_json())
     state.save()

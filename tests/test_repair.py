@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from msrcodes.constructions import build, encode, node_points, random_data
+from msrcodes.constructions import build, encode, encode_blocks, node_points, random_data
 from msrcodes.errors import ParameterError
 from msrcodes.mixedradix import CoordinateSystem
 from msrcodes.repair import (HelperPayload, center_repair, helper_aggregate,
@@ -185,6 +185,35 @@ def test_aggregate_rejects_non_helper():
     pl = plan(spec, [1, 2], [3, 4, 5, 6], (2, 4))
     with pytest.raises(ParameterError):
         helper_aggregate(pl, 1, np.zeros(spec.ell, dtype=np.int64))
+
+
+def _unreduced(x, p):
+    """Copies of residues x congruent to them mod p but outside [0, p):
+    negative, x + k*p, and u64 values >= 2^63."""
+    high = 2**63 // p + 1  # high * p >= 2^63, and high * p + p - 1 < 2^64
+    return {"negative": x - p, "plus-k-p": x + 12345 * p,
+            "u64-high": x.astype(np.uint64) + np.uint64(high * p)}
+
+
+@pytest.mark.parametrize("family, n, k, pats, H, R, pattern", [
+    ("c1", 5, 2, [(1, 3), (1, 4)], [4], [1, 2, 3, 5], (1, 4)),  # pinned
+    ("c3", 6, 2, [(2, 4)], [1, 2], [3, 4, 5, 6], (2, 4)),
+    ("c4", 6, 2, [(1, 3), (2, 4), (3, 3)], [1, 3, 5], [2, 4, 6], (3, 3)),  # step-2 peel
+])
+def test_unreduced_inputs_repair_as_their_residues(family, n, k, pats, H, R, pattern):
+    spec = build(family, n, k, pats)
+    p = spec.field.p
+    cols = encode_blocks(spec, random_data(spec, np.random.default_rng(8), blocks=2))
+    pl = plan(spec, H, R, pattern)
+    payloads = [helper_aggregate(pl, j, cols[:, j - 1]) for j in R]
+    restored, _ = center_repair(pl, payloads)
+    assert all(np.array_equal(restored[j], cols[:, j - 1]) for j in H)
+    for name, col in _unreduced(cols[:, R[0] - 1], p).items():
+        assert np.array_equal(helper_aggregate(pl, R[0], col).values, payloads[0].values), name
+    for name in ("negative", "plus-k-p", "u64-high"):
+        again, _ = center_repair(pl, [HelperPayload(pay.helper, _unreduced(pay.values, p)[name])
+                                      for pay in payloads])
+        assert all(np.array_equal(again[j], restored[j]) for j in H), name
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,38 @@ def test_read_shard_names_a_file_shorter_than_the_header(blob, tmp_path):
         storage.read_shard(path)
 
 
+def test_read_shard_rejects_an_element_at_or_above_2_to_the_63(tmp_path):
+    # as int64 such an element reads negative, hence below p
+    state = ingest(bytes(range(200)), c3_spec(), tmp_path / "c")
+    path = state.shard_path(3)
+    blob = bytearray(path.read_bytes())
+    blob[HEADER_SIZE + 8 * 5 + 7] = 0xFF   # top byte of element 5
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptionError, match="node_03.shard: element >= p"):
+        storage.read_shard(path)
+
+
+def test_repair_hashes_each_shard_once(tmp_path, monkeypatch):
+    # d helper shards checked on read, h restored blobs checked and written as they are
+    payload = bytes(range(256)) * 5
+    state = ingest(payload, c3_spec(), tmp_path / "c")
+    before = {j: state.shard_path(j).read_bytes() for j in (1, 2)}
+    fail_nodes(state, [1, 2])
+    calls = []
+    real = storage.hashlib.sha256
+
+    def sha256(*args):
+        calls.append(len(args[0]) if args else 0)
+        return real(*args)
+
+    monkeypatch.setattr(storage.hashlib, "sha256", sha256)
+    run_repair(state, [1, 2], [3, 4, 5, 6], (2, 4))
+    monkeypatch.undo()
+    assert len(calls) == 4 + 2
+    assert all(state.shard_path(j).read_bytes() == before[j] for j in (1, 2))
+    assert extract(state) == payload
+
+
 def test_repair_empty_set_is_noop(tmp_path):
     state = ingest(bytes(100), c3_spec(), tmp_path / "c")
     with pytest.raises(ParameterError, match="h=2 failed nodes, got 0"):

@@ -183,3 +183,27 @@ def test_plan_keeps_only_its_aggregation_coordinates(pattern):
         tracemalloc.stop()
     # a (G, d+r) point table per family added 4-5 MiB here
     assert live <= sum(f.agg_tau.nbytes for f in pl.families) + (64 << 10)
+
+
+@pytest.mark.parametrize("name, failed, helpers, pattern", REPAIRS)
+def test_every_slot_of_agg_tau_is_contiguous(name, failed, helpers, pattern):
+    pl = plan(build(*SPECS[name]), failed, helpers, pattern)
+    for fam in pl.families:
+        assert all(fam.agg_tau[:, w].flags.c_contiguous for w in range(fam.width))
+
+
+@pytest.mark.parametrize("pattern", [(1, 7), (1, 6)])  # pinned and block schemes
+def test_helper_aggregate_takes_one_slot_at_a_time(pattern):
+    spec = build("c1", 8, 4, [(1, 6), (1, 7)])  # ell = 196,608
+    helpers = list(range(2, pattern[1] + 2))
+    pl = plan(spec, [1], helpers, pattern)
+    column = np.random.default_rng(3).integers(0, spec.field.p, size=spec.ell)
+    tracemalloc.start()
+    try:
+        payload = helper_aggregate(pl, helpers[0], column)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a reduced copy of the column plus a (groups, width) gather added 2.6 MiB here
+    one_take = max(f.group_count for f in pl.families) * column.itemsize
+    assert peak <= payload.values.nbytes + one_take + (16 << 10)
