@@ -209,7 +209,7 @@ def erasure_inputs(spec: CodeSpec, slot_nodes: Sequence[int], known_nodes: Seque
     node may hold several) at digit t_u; column i*s_m + c is known node i at
     digit c.  Rows that repeat a point, which no word has, borrow a valid
     row's points.  solve_vandermonde(points, syndrome_rhs(candidates,
-    identity, e)) is the (s_m^e, e, m*s_m) table erasure_operator reads."""
+    identity, e)) is the (s_m^e, e, m*s_m) table operator_table lays out."""
     s_m, e, lam = spec.s_m, len(slot_nodes), spec.lam_array()
     digits = np.arange(s_m**e)[:, None] // s_m ** np.arange(e) % s_m
     points = lam[np.asarray(slot_nodes) - 1, digits]
@@ -222,24 +222,43 @@ def erasure_inputs(spec: CodeSpec, slot_nodes: Sequence[int], known_nodes: Seque
         eye, (len(points),) + eye.shape)
 
 
+def operator_table(spec: CodeSpec, table: np.ndarray) -> np.ndarray:
+    """The (s_m^e, e, m*s_m) erasure table laid out as (e, m, s_m^e * s_m),
+    entry [u, i, t*s_m + c] = table[t, u, i*s_m + c], so that every operator
+    entry (u, i) is one contiguous row that erasure_operator reads with a
+    1-D take."""
+    rows, e, width = table.shape
+    m = width // spec.s_m
+    return np.ascontiguousarray(
+        table.reshape(rows, e, m, spec.s_m).transpose(1, 2, 0, 3)).reshape(e, m, -1)
+
+
 def erasure_operator(spec: CodeSpec, table: np.ndarray, slot_digits, known_digits):
-    """Per-word operators (e, m, L) read from an erasure table, given each
+    """Per-word operators (e, m, L) read from an operator_table, given each
     erased slot's digit (e arrays (L,)) and each known node's (m arrays)."""
-    _, e, width = table.shape
-    row = sum(dig * spec.s_m**u for u, dig in enumerate(slot_digits))
-    cols = np.arange(0, width, spec.s_m)[:, None] + np.stack(known_digits)
-    return np.moveaxis(table, 1, 0).reshape(e, -1)[:, row * width + cols]
+    e, m, _ = table.shape
+    s_m = spec.s_m
+    row = sum(dig * s_m ** (u + 1) for u, dig in enumerate(slot_digits))
+    op = np.empty((e, m, len(row)), dtype=np.int64)
+    idx = np.empty_like(row)
+    for i, dig in enumerate(known_digits):
+        np.add(row, dig, out=idx)
+        for u in range(e):
+            # mode="clip" writes into op unbuffered; idx lies in the row
+            np.take(table[u, i], idx, out=op[u, i], mode="clip")
+    return op
 
 
 def complete_columns(spec: CodeSpec, known_nodes: Sequence[int],
                      known: np.ndarray) -> np.ndarray:
     """Fill the remaining r node columns so every plane's checks vanish.
 
-    known: (B, k, ell) residues for the 1-based known_nodes.  Returns
-    (B, n, ell).  Exactly k known nodes are required; a plane's r erased
-    symbols are then its erasure operator applied to its k known ones.  One
-    kernel solve builds the operator table, and each slice reads its planes'
-    operators from it and applies them in place on out.
+    known: (B, k, ell) integers for the 1-based known_nodes, reduced mod p
+    only if an entry lies outside [0, p).  Returns (B, n, ell).  Exactly k
+    known nodes are required; a plane's r erased symbols are then its erasure
+    operator applied to its k known ones.  One kernel solve builds the
+    operator table, and each slice reads its planes' operators from it and
+    applies them in place on out.
     """
     n, k, r, p = spec.n, spec.k, spec.r, spec.field.p
     nodes = [int(j) for j in known_nodes]
@@ -247,20 +266,23 @@ def complete_columns(spec: CodeSpec, known_nodes: Sequence[int],
         raise ParameterError(f"need exactly {k} distinct node indices")
     if any(not 1 <= j <= n for j in nodes):
         raise ParameterError("node index out of range")
-    known = np.asarray(known, dtype=np.int64)
+    known = np.asarray(known)
     if known.ndim == 2:
         known = known[None]
     B = known.shape[0]
     if known.shape[1:] != (k, spec.ell):
         raise ParameterError(f"expected data shape (k={k}, ell={spec.ell})")
 
+    # reduced in known's own dtype: a u64 entry >= 2^63 is not read as negative
+    known = spec.field.residues(known)
     out = np.empty((B, n, spec.ell), dtype=np.int64)
     for i, j in enumerate(nodes):
-        np.remainder(known[:, i], p, out=out[:, j - 1])
+        out[:, j - 1] = known[:, i]
     kept = sorted(nodes)
     erased = [j for j in range(1, n + 1) if j not in nodes]
     points, cand, eye = erasure_inputs(spec, erased, kept)
-    table = solve_vandermonde(spec.field, points, syndrome_rhs(spec.field, cand, eye, r))
+    table = operator_table(spec, solve_vandermonde(
+        spec.field, points, syndrome_rhs(spec.field, cand, eye, r)))
     coords, A, S = spec.coords, spec.s_m**n, spec.s
     # column layout: tau = b*A + a  ->  (B, n, S, A), a view of out
     planes = out.reshape(B, n, S, A)
@@ -281,15 +303,14 @@ def encode_blocks(spec: CodeSpec, data: np.ndarray) -> np.ndarray:
 
 def encode(spec: CodeSpec, data) -> Codeword:
     """Systematic encode of one k x ell data matrix."""
-    out = encode_blocks(spec, np.asarray(data, dtype=np.int64)[None])
+    out = encode_blocks(spec, np.asarray(data)[None])
     return Codeword(spec, out[0])
 
 
 def mds_reconstruct(spec: CodeSpec, surviving_nodes: Sequence[int],
                     surviving_columns) -> Codeword:
     """Rebuild the full codeword from any k surviving columns."""
-    cols = np.asarray(surviving_columns, dtype=np.int64)
-    out = complete_columns(spec, surviving_nodes, cols[None])
+    out = complete_columns(spec, surviving_nodes, np.asarray(surviving_columns)[None])
     return Codeword(spec, out[0])
 
 

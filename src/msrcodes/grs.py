@@ -8,7 +8,9 @@ points.  The two batched kernels build operators, not decode words:
 syndrome_rhs moves known entries to the right-hand side, and
 solve_vandermonde fills the erased ones, so on an identity right-hand side
 they give the columns of C.  apply_operator applies per-word operators in
-place, over the slices of block_slices.
+place, over the slices of block_slices.  Per-symbol arrays are reduced with
+mod_p, a floor division by the scalar p, never with an integer % p: numpy
+has a fast path for the former only.
 
 Both kernels take one shape: points (G, m), one row of distinct points per
 word, and values or rhs (G, m, R), R right-hand sides per word.  Elimination
@@ -49,21 +51,32 @@ def block_slices(blocks: int, count: int, per_item: int, op_per_item: int):
     return [(w, [(b, b + 1) for b in range(blocks)]) for w in slices(count, per_item + op_per_item)]
 
 
+def mod_p(acc: np.ndarray, p: int, tmp: np.ndarray) -> np.ndarray:
+    """acc - floor(acc / p) * p, the residue of acc in [0, p), in place; tmp is
+    scratch of acc's shape.  Exact for every int64 acc: the quotient fits,
+    and the product and difference, should they wrap, wrap modulo 2^64 to a
+    result that lies in [0, p) (for acc >= 0 nothing wraps at all)."""
+    np.floor_divide(acc, p, out=tmp)
+    tmp *= p
+    acc -= tmp
+    return acc
+
+
 def apply_operator(p: int, op: np.ndarray, values, out) -> None:
     """out[u] = sum_i op[u, i] * values[i] (mod p) in place; op (U, I, L)
     broadcasts along the last axis of the residue arrays values[i] and out[u].
-    The % p is deferred: a carry below p plus `fold` products of at most
-    (p-1)^2 stay <= 2^63 - 1, so it reduces once per `fold` terms (2^47 at
-    p = 257, which no word reaches; 2 at p = 2^31 - 1)."""
+    The reduction is deferred: a carry below p plus `fold` products of at most
+    (p-1)^2 stay <= 2^63 - 1, so it runs mod_p once per `fold` terms (2^47 at
+    p = 257, which no word reaches; 2 at p = 2^31 - 1) and once at the end."""
     fold = (2**63 - p) // (p - 1) ** 2
     tmp = np.empty_like(out[0])
     for u, acc in enumerate(out):
         np.multiply(op[u, 0], values[0], out=acc)
         for i in range(1, len(values)):
             if i % fold == 0:
-                np.remainder(acc, p, out=acc)
+                mod_p(acc, p, tmp)
             acc += np.multiply(op[u, i], values[i], out=tmp)
-        np.remainder(acc, p, out=acc)
+        mod_p(acc, p, tmp)
 
 
 def solve_vandermonde(field: PrimeField, points: np.ndarray, rhs: np.ndarray) -> np.ndarray:

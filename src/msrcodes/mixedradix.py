@@ -45,10 +45,13 @@ class CoordinateSystem:
         return tuple(out)
 
     def digit(self, a, i: int):
-        """Digit at 1-based position i; works on ints and ndarrays."""
+        """Digit at 1-based position i; works on ints and ndarrays.  Taken as
+        q - (q // base) * base for q = a // base^(i-1): numpy divides an
+        int64 array by a scalar fast, but has no fast path for its %."""
         if not (1 <= i <= self.ndigits):
             raise ParameterError(f"position {i} outside [1, {self.ndigits}]")
-        return (a // self.base ** (i - 1)) % self.base
+        q = a // self.base ** (i - 1)
+        return q - q // self.base * self.base
 
     def shift_digits(self, a, positions: Sequence[int], v: int):
         """Add v cyclically (mod base) to every digit of a at the given positions."""

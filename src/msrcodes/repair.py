@@ -14,7 +14,8 @@ has exactly r erasures (the member symbols, the sums of the other failed
 nodes, and the sums of idle nodes), filled by the group's erasure operator.
 A plan stores only each group's aggregation coordinates (agg_tau), slot-major:
 agg_tau[:, w] is contiguous, so a helper sums its column over a family with
-one take per slot and one % p, and the solve reads every slot's digit from
+one take per slot and one reduction (grs.mod_p, a division by the scalar p,
+not an integer %), and the solve reads every slot's digit from
 them, slice by slice, in one fixed order:
 known slots are the helpers ascending; erased slots are the members' (j, w)
 slots, then the other non-helpers ascending.
@@ -44,9 +45,9 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import audit
-from .constructions import CodeSpec, Family, erasure_inputs, erasure_operator
+from .constructions import CodeSpec, Family, erasure_inputs, erasure_operator, operator_table
 from .errors import ParameterError
-from .grs import apply_operator, block_slices, solve_vandermonde, syndrome_rhs
+from .grs import apply_operator, block_slices, mod_p, solve_vandermonde, syndrome_rhs
 from .hamming import build_partition
 
 
@@ -202,7 +203,7 @@ def helper_aggregate(plan_: RepairPlan, helper: int, column: np.ndarray) -> Help
 
     column is (ell,) or (B, ell); it is reduced mod p only if an entry lies
     outside [0, p).  Each family adds one take per slot into the output and
-    reduces once.
+    reduces once, with grs.mod_p.
     """
     if helper not in plan_.helpers:
         raise ParameterError(f"node {helper} is not in the helper set")
@@ -219,7 +220,7 @@ def helper_aggregate(plan_: RepairPlan, helper: int, column: np.ndarray) -> Help
         np.take(col, fam.agg_tau[:, 0], axis=-1, out=acc, mode="clip")
         for w in range(1, fam.width):
             acc += np.take(col, fam.agg_tau[:, w], axis=-1, out=take, mode="clip")
-        np.remainder(acc, p, out=acc)
+        mod_p(acc, p, take)
         start += fam.group_count
     return HelperPayload(helper, out)
 
@@ -261,7 +262,8 @@ def repair_columns(plan_: RepairPlan, payload_matrix: np.ndarray) -> np.ndarray:
         slots = [(j, w) for j in fam.members for w in range(fam.width)]
         slots += [(j, None) for j in fam.others if j not in helpers]
         points, cand, eye = erasure_inputs(spec, [j for j, _ in slots], helpers)
-        table = solve_vandermonde(spec.field, points, syndrome_rhs(spec.field, cand, eye, r))
+        table = operator_table(spec, solve_vandermonde(
+            spec.field, points, syndrome_rhs(spec.field, cand, eye, r)))
         fam_sums = {j: np.empty((B, fam.group_count), dtype=np.int64)
                     for j, w in slots if w is None and j in node_row}
         for (g0, g1), blocks in block_slices(B, fam.group_count, len(helpers) + r,
@@ -282,10 +284,10 @@ def repair_columns(plan_: RepairPlan, payload_matrix: np.ndarray) -> np.ndarray:
 
     # step 2: no download; peel the recovered sums with already-known symbols
     for fam, j, acc in sums:
-        row = restored[node_row[j]]
+        row, take = restored[node_row[j]], np.empty_like(acc)
         for w in range(fam.width - 1):
-            acc -= np.take(row, fam.agg_tau[:, w], axis=-1)
-        row[:, fam.agg_tau[:, -1]] = np.remainder(acc, p, out=acc)
+            acc -= np.take(row, fam.agg_tau[:, w], axis=-1, out=take, mode="clip")
+        row[:, fam.agg_tau[:, -1]] = mod_p(acc, p, take)
     return restored
 
 

@@ -111,9 +111,9 @@ def read_shard(path: Path, log: Optional[AccessLog] = None,
     magic, version, node, n, k, tag, count, p = HEADER.unpack(blob[:HEADER_SIZE])
     if magic != MAGIC or version != VERSION:
         raise CorruptionError(f"{path}: bad shard magic/version")
-    raw = np.frombuffer(blob[HEADER_SIZE:], dtype="<u8")
-    if raw.size != count:
+    if len(blob) != HEADER_SIZE + count * ELEMENT_SIZE:
         raise CorruptionError(f"{path}: element count mismatch")
+    raw = np.frombuffer(blob[HEADER_SIZE:], dtype="<u8")
     if np.any(raw >= p):  # on the u64 values: as int64, one >= 2^63 reads negative
         raise CorruptionError(f"{path}: element >= p")
     return node, raw.astype(np.int64)

@@ -6,8 +6,9 @@ import pytest
 
 from msrcodes import audit
 from msrcodes.constructions import (assign_lambda, build, encode,
-                                    encode_blocks, manifest_dict,
-                                    mds_reconstruct, random_data,
+                                    encode_blocks, erasure_operator,
+                                    manifest_dict, mds_reconstruct,
+                                    operator_table, random_data,
                                     spec_from_manifest, verify_planes)
 from msrcodes.errors import ParameterError
 from msrcodes.field import PrimeField
@@ -257,6 +258,62 @@ def test_encode_blocks_batched_matches_single():
     for b in range(3):
         single = encode(spec, data[b])
         assert np.array_equal(batched[b], single.columns)
+
+
+def _unreduced(x, p):
+    """Copies of residues x congruent to them mod p but outside [0, p):
+    negative, x + k*p, and u64 values >= 2^63."""
+    high = 2**63 // p + 1  # high * p >= 2^63, and high * p + p - 1 < 2^64
+    return {"negative": x - p, "plus-k-p": x + 12345 * p,
+            "u64-high": x.astype(np.uint64) + np.uint64(high * p)}
+
+
+@pytest.mark.parametrize("family, n, k, pats, prime", [
+    ("c3", 6, 2, [(2, 4)], 257),
+    ("c1", 5, 2, [(1, 3), (1, 4)], None),
+    ("c4", 6, 2, [(1, 3), (2, 4), (3, 3)], None),
+])
+def test_unreduced_inputs_encode_as_their_residues(family, n, k, pats, prime):
+    spec = build(family, n, k, pats, prime=prime)
+    p = spec.field.p
+    data = random_data(spec, np.random.default_rng(9), blocks=2)
+    cols = encode_blocks(spec, data)
+    nodes = list(range(n - k + 1, n + 1))   # the last k nodes: a real decode
+    for name, x in _unreduced(data, p).items():
+        assert np.array_equal(encode_blocks(spec, x), cols), name
+        assert np.array_equal(encode(spec, x[1]).columns, cols[1]), name
+    for name, x in _unreduced(cols[0, [j - 1 for j in nodes]], p).items():
+        assert np.array_equal(mds_reconstruct(spec, nodes, x).columns, cols[0]), name
+    # one element raised by a multiple of p past 2^63: a u64 read as int64
+    # would turn negative and leave a residue off by 2^64 mod p
+    one = data.astype(np.uint64)
+    one[0, 0, 0] += np.uint64((2**63 // p + 1) * p)
+    assert np.array_equal(encode_blocks(spec, one), cols)
+
+
+def _fancy_operator(spec, table, slot_digits, known_digits):
+    """The operator read as a 2-D fancy index over the (s_m^e, e, m*s_m) table."""
+    _, e, width = table.shape
+    row = sum(dig * spec.s_m**u for u, dig in enumerate(slot_digits))
+    cols = np.arange(0, width, spec.s_m)[:, None] + np.stack(known_digits)
+    return np.moveaxis(table, 1, 0).reshape(e, -1)[:, row * width + cols]
+
+
+@pytest.mark.parametrize("family, n, k, pats", [
+    ("c3", 6, 2, [(2, 4)]),              # s_m = 2
+    ("c1", 5, 2, [(1, 3), (1, 4)]),      # s_m = 3
+    ("c2", 8, 2, [(1, 5)]),              # s_m = 4
+])
+def test_erasure_operator_matches_a_fancy_index_read(family, n, k, pats):
+    spec = build(family, n, k, pats)
+    rng = np.random.default_rng(10)
+    for e in (1, 2, 3):
+        m = n - e
+        table = rng.integers(0, spec.field.p, size=(spec.s_m**e, e, m * spec.s_m))
+        slot_digits = list(rng.integers(0, spec.s_m, size=(e, 40)))
+        known_digits = list(rng.integers(0, spec.s_m, size=(m, 40)))
+        got = erasure_operator(spec, operator_table(spec, table), slot_digits, known_digits)
+        assert np.array_equal(got, _fancy_operator(spec, table, slot_digits, known_digits))
 
 
 def test_reconstruct_requires_exactly_k():

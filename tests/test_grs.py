@@ -5,7 +5,7 @@ import pytest
 
 from msrcodes.errors import ParameterError
 from msrcodes.field import PrimeField
-from msrcodes.grs import solve_vandermonde, syndrome_rhs
+from msrcodes.grs import mod_p, solve_vandermonde, syndrome_rhs
 
 
 def brute_force_codewords(p, points, r):
@@ -172,3 +172,16 @@ def test_solve_vandermonde_batched_multi_rhs():
         rhs[:, t, :] = ((pts ** t % 13)[:, :, None] * x_true).sum(axis=1) % 13
     x = solve_vandermonde(f, pts, rhs)
     assert np.array_equal(x, x_true)
+
+
+@pytest.mark.parametrize("p", [2, 3, 257, 65537, 2**31 - 1])
+def test_mod_p_matches_remainder(p):
+    rng = np.random.default_rng(p)
+    edges = [-2**63, 2**63 - 1, (p - 1)**2, -(p - 1)**2, 0, p - 1, p, -1, -p]
+    for acc in (np.array(edges, dtype=np.int64),
+                rng.integers(-2**63, 2**63 - 1, size=1000, dtype=np.int64, endpoint=True),
+                rng.integers(-(p - 1)**2, (p - 1)**2, size=(7, 50), endpoint=True)):
+        want = np.remainder(acc, p)
+        got = acc.copy()
+        assert mod_p(got, p, np.empty_like(got)) is got
+        assert np.array_equal(got, want)

@@ -70,3 +70,13 @@ def test_array_digit_and_shift_match_scalar():
     assert np.array_equal(d2, np.array([cs.digit(int(x), 2) for x in a]))
     out = cs.shift_digits(a, [1, 3], 2)
     assert np.array_equal(out, np.array([cs.shift_digits(int(x), [1, 3], 2) for x in a]))
+
+
+@pytest.mark.parametrize("base, ndigits", [(2, 20), (3, 5), (4, 10), (9, 6)])
+def test_digit_matches_floor_divide_and_remainder(base, ndigits):
+    cs = CoordinateSystem(base, ndigits)
+    a = np.random.default_rng(base).integers(0, cs.a_count, size=500)
+    for i in range(1, ndigits + 1):
+        want = (a // base ** (i - 1)) % base
+        assert np.array_equal(cs.digit(a, i), want)
+        assert [cs.digit(int(x), i) for x in a[:20]] == want[:20].tolist()

@@ -220,6 +220,16 @@ def test_read_shard_names_a_file_shorter_than_the_header(blob, tmp_path):
         storage.read_shard(path)
 
 
+@pytest.mark.parametrize("cut", range(1, 9))
+def test_read_shard_names_a_truncated_shard(cut, tmp_path):
+    # without a digest, so the length check itself has to catch it
+    state = ingest(bytes(range(200)), c3_spec(), tmp_path / "c")
+    path = state.shard_path(3)
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(CorruptionError, match="node_03.shard: element count mismatch"):
+        storage.read_shard(path)
+
+
 def test_read_shard_rejects_an_element_at_or_above_2_to_the_63(tmp_path):
     # as int64 such an element reads negative, hence below p
     state = ingest(bytes(range(200)), c3_spec(), tmp_path / "c")
