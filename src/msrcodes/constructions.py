@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .field import PrimeField, next_prime
-from .grs import apply_operator, block_slices, solve_vandermonde, syndrome_rhs
+from .grs import apply_operator, block_slices, each, solve_vandermonde, syndrome_rhs
 from .mixedradix import CoordinateSystem
 
 LAMBDA_RULE = "row-consecutive-v1"  # lambda_{i,j} = (i-1)*s_m + j + 1
@@ -257,8 +257,8 @@ def complete_columns(spec: CodeSpec, known_nodes: Sequence[int],
     only if an entry lies outside [0, p).  Returns (B, n, ell).  Exactly k
     known nodes are required; a plane's r erased symbols are then its erasure
     operator applied to its k known ones.  One kernel solve builds the
-    operator table, and each slice reads its planes' operators from it and
-    applies them in place on out.
+    operator table, and each slice unit (grs.each) reads its planes'
+    operators from it and applies them in place on its own part of out.
     """
     n, k, r, p = spec.n, spec.k, spec.r, spec.field.p
     nodes = [int(j) for j in known_nodes]
@@ -286,13 +286,17 @@ def complete_columns(spec: CodeSpec, known_nodes: Sequence[int],
     coords, A, S = spec.coords, spec.s_m**n, spec.s
     # column layout: tau = b*A + a  ->  (B, n, S, A), a view of out
     planes = out.reshape(B, n, S, A)
-    for (a0, a1), blocks in block_slices(B, A, n * S, r * k):
+
+    def work(words, blocks):
+        a0, a1 = words
         a = np.arange(a0, a1)
         op = erasure_operator(spec, table, [coords.digit(a, j) for j in erased],
                               [coords.digit(a, j) for j in kept])
         for b0, b1 in blocks:
             apply_operator(p, op, [planes[b0:b1, j - 1, :, a0:a1] for j in kept],
                            [planes[b0:b1, j - 1, :, a0:a1] for j in erased])
+
+    each(work, block_slices(B, A, n * S, r * k))
     return out
 
 
@@ -325,8 +329,10 @@ def verify_planes(spec: CodeSpec, columns: np.ndarray) -> bool:
     n, r, p, A, S = spec.n, spec.r, spec.field.p, spec.s_m**spec.n, spec.s
     cols = spec.field.residues(cols)
     planes = cols.reshape(B, n, S, A)
-    for (a0, a1), blocks in block_slices(B, A, n * S, r * n):
+
+    def vanish(words, blocks):
         # the checks as an operator: op[t, j] = (point of node j)^t per plane
+        a0, a1 = words
         pts = node_points(spec, range(1, n + 1), np.arange(a0, a1))
         op = np.ones((r, n, a1 - a0), dtype=np.int64)
         for t in range(1, r):
@@ -336,7 +342,9 @@ def verify_planes(spec: CodeSpec, columns: np.ndarray) -> bool:
             apply_operator(p, op, np.moveaxis(planes[b0:b1, ..., a0:a1], 1, 0), syn)
             if syn.any():
                 return False
-    return True
+        return True
+
+    return all(each(vanish, block_slices(B, A, n * S, r * n)))
 
 
 def random_data(spec: CodeSpec, rng: np.random.Generator, blocks: Optional[int] = None) -> np.ndarray:

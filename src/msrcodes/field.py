@@ -54,9 +54,12 @@ class PrimeField:
     def residues(self, values) -> np.ndarray:
         """values as int64 residues in [0, p), reduced only if an entry lies
         outside that range (checked in values' own dtype, so u64 entries
-        >= 2^63 reduce exactly); int64 residues come back uncopied."""
+        >= 2^63 reduce exactly); int64 residues come back uncopied.  The check
+        is one pass (a max) for int64, read as uint64 so that a negative entry
+        reads >= 2^63, and for unsigned dtypes."""
         x = np.asarray(values)
-        if x.size and (x.min() < 0 or x.max() >= self.p):
+        seen = x.view(np.uint64) if x.dtype == np.int64 else x
+        if x.size and ((seen.dtype.kind != "u" and seen.min() < 0) or seen.max() >= self.p):
             x = x % self.p
         return x.astype(np.int64, copy=False)
 

@@ -8,9 +8,11 @@ points.  The two batched kernels build operators, not decode words:
 syndrome_rhs moves known entries to the right-hand side, and
 solve_vandermonde fills the erased ones, so on an identity right-hand side
 they give the columns of C.  apply_operator applies per-word operators in
-place, over the slices of block_slices.  Per-symbol arrays are reduced with
-mod_p, a floor division by the scalar p, never with an integer % p: numpy
-has a fast path for the former only.
+place, over the units of block_slices, at most SLICE_BUDGET = 2^20 elements
+each (measured at the constant), which each() runs on a pool of WORKERS
+threads.  Per-symbol arrays are reduced with mod_p, a floor division by the
+scalar p, never with an integer % p: numpy has a fast path for the former
+only.
 
 Both kernels take one shape: points (G, m), one row of distinct points per
 word, and values or rhs (G, m, R), R right-hand sides per word.  Elimination
@@ -20,17 +22,25 @@ points is itself a Vandermonde determinant, hence nonzero.
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+
 import numpy as np
 
 from .errors import ParameterError
 from .field import PrimeField
 
-# Elements per kernel temporary (int64, so 2 MiB).  Unsliced, one 18 MiB
-# c1(10,6,{(1,8),(1,9)}) block built about 1 GB of temporaries.  On a 2-vCPU
-# VM, encode time was flat for budgets 2^14..2^20, and 2^18 beat 2^16 on every
-# cluster-benchmark throughput (a 1 MiB cluster has 4096 blocks, so a 2^16
-# slice holds only one or two planes or groups).
-SLICE_BUDGET = 1 << 18
+# Elements per kernel temporary (int64, so 8 MiB); each() runs up to WORKERS
+# units at once.  Unsliced, one 18 MiB c1(10,6,{(1,8),(1,9)}) block built
+# about 1 GB of temporaries.  A unit must pay for its hand-offs of the GIL: on
+# a 2-vCPU Xeon VM (numpy 2.4, best of 3), the c1 (1,9) center repair took
+# 113 ms with one worker at 2^18, 140 ms with two at 2^18, 85 ms at 2^19,
+# 58-67 ms at 2^20 and 57 ms at 2^21, and c1 encode 246 / 246 / 194 / 172-177
+# / 180 ms.  Two workers at 2^20 also beat one at 2^18 on every 1 MiB c3 kernel
+# (encode 13.4 vs 15.1 ms, center 5.9 vs 10.1 ms), while at 2^21 the c3 center
+# is one unit again (13.7 ms).
+SLICE_BUDGET = 1 << 20
 
 
 def slices(count: int, per_item: int):
@@ -42,13 +52,49 @@ def slices(count: int, per_item: int):
 
 
 def block_slices(blocks: int, count: int, per_item: int, op_per_item: int):
-    """((start, stop), block ranges) pairs over `blocks` blocks of `count` words,
-    blocks first: all words with runs of whole blocks while one block and its
-    operator fit SLICE_BUDGET, else word ranges of one block at a time.  A word
-    holds per_item elements per block plus op_per_item operator elements."""
+    """Units ((start, stop), block ranges) over `blocks` blocks of `count`
+    words, blocks first: all words with one run of whole blocks per unit while
+    one block and its operator fit SLICE_BUDGET, else one word range per unit
+    with every block, one at a time.  A word holds per_item elements per block
+    plus op_per_item operator elements.  Units cover disjoint (word, block)
+    pairs, so each() may run them in any order."""
     if count * (per_item + op_per_item) <= SLICE_BUDGET:
-        return [((0, count), list(slices(blocks, count * per_item)))]
+        return [((0, count), [b]) for b in slices(blocks, count * per_item)]
     return [(w, [(b, b + 1) for b in range(blocks)]) for w in slices(count, per_item + op_per_item)]
+
+
+# Threads each() runs units on: the CPUs this process may use.  Units are
+# numpy-bound, and numpy releases the GIL inside its loops.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@functools.lru_cache(maxsize=None)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The executor each() uses for a worker count, made on first use."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="msrcodes")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the parent's threads: it makes its own pool
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def each(fn, units) -> list:
+    """[fn(*unit) for unit in units], run on a pool of WORKERS threads; a
+    plain loop when there is one worker or one unit.  Every unit finishes
+    before the first exception raised in one, if any, reaches the caller.
+
+    Units must write disjoint outputs and must not call a name that a caller
+    may rebind at run time, as perfbench's tracer does: its records are not
+    thread-safe.
+    """
+    units = list(units)
+    if WORKERS <= 1 or len(units) <= 1:
+        return [fn(*unit) for unit in units]
+    pool = _pool(WORKERS)
+    futures = [pool.submit(fn, *unit) for unit in units]
+    wait(futures)
+    return [f.result() for f in futures]
 
 
 def mod_p(acc: np.ndarray, p: int, tmp: np.ndarray) -> np.ndarray:

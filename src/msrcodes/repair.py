@@ -44,10 +44,10 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from . import audit
+from . import audit, grs
 from .constructions import CodeSpec, Family, erasure_inputs, erasure_operator, operator_table
 from .errors import ParameterError
-from .grs import apply_operator, block_slices, mod_p, solve_vandermonde, syndrome_rhs
+from .grs import apply_operator, block_slices, each, mod_p, solve_vandermonde, syndrome_rhs
 from .hamming import build_partition
 
 
@@ -203,7 +203,9 @@ def helper_aggregate(plan_: RepairPlan, helper: int, column: np.ndarray) -> Help
 
     column is (ell,) or (B, ell); it is reduced mod p only if an entry lies
     outside [0, p).  Each family adds one take per slot into the output and
-    reduces once, with grs.mod_p.
+    reduces once, with grs.mod_p.  The work is split into grs.WORKERS parts
+    per family for grs.each: over blocks when there are that many, else over
+    group ranges.
     """
     if helper not in plan_.helpers:
         raise ParameterError(f"node {helper} is not in the helper set")
@@ -212,17 +214,33 @@ def helper_aggregate(plan_: RepairPlan, helper: int, column: np.ndarray) -> Help
     if col.shape[-1] != plan_.spec.ell:
         raise ParameterError(f"column length {col.shape[-1]} != ell={plan_.spec.ell}")
     out = np.empty(col.shape[:-1] + (plan_.per_helper,), dtype=np.int64)
-    start = 0
-    for fam in plan_.families:
-        acc = out[..., start:start + fam.group_count]
+    rows, outs = col.reshape(-1, col.shape[-1]), out.reshape(-1, plan_.per_helper)
+
+    def aggregate(blocks, groups, fam, start):
+        (b0, b1), (g0, g1) = blocks, groups
+        acc, src = outs[b0:b1, start + g0:start + g1], rows[b0:b1]
         take = np.empty_like(acc)
         # mode="clip" writes into out unbuffered; plan indices are below ell
-        np.take(col, fam.agg_tau[:, 0], axis=-1, out=acc, mode="clip")
+        np.take(src, fam.agg_tau[g0:g1, 0], axis=-1, out=acc, mode="clip")
         for w in range(1, fam.width):
-            acc += np.take(col, fam.agg_tau[:, w], axis=-1, out=take, mode="clip")
+            acc += np.take(src, fam.agg_tau[g0:g1, w], axis=-1, out=take, mode="clip")
         mod_p(acc, p, take)
+
+    B, parts, units, start = len(rows), grs.WORKERS, [], 0
+    for fam in plan_.families:
+        if B >= parts:
+            units += [(b, (0, fam.group_count), fam, start) for b in _split(B, parts)]
+        else:
+            units += [((0, B), g, fam, start) for g in _split(fam.group_count, parts)]
         start += fam.group_count
+    each(aggregate, units)
     return HelperPayload(helper, out)
+
+
+def _split(count: int, parts: int):
+    """At most `parts` (start, stop) ranges of near-equal size covering range(count)."""
+    step = max(1, -(-count // parts))
+    return [(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 def _payload_matrix(plan_: RepairPlan, payloads) -> np.ndarray:
@@ -247,8 +265,8 @@ def repair_columns(plan_: RepairPlan, payload_matrix: np.ndarray) -> np.ndarray:
     A group's r erased slots are its (r x d) erasure operator applied to the
     d helper sums.  The operator depends only on the digits of the erased
     slots (an erasure table row) and of the helpers, so one kernel solve per
-    family builds the table, and each slice reads its groups' operators from
-    it and applies them to the payload matrix in place.
+    family builds the table, and each slice unit (grs.each) reads its groups'
+    operators from it and applies them to the payload matrix in place.
     """
     spec, helpers, r = plan_.spec, plan_.helpers, plan_.spec.r
     p, coords = spec.field.p, spec.coords
@@ -266,8 +284,9 @@ def repair_columns(plan_: RepairPlan, payload_matrix: np.ndarray) -> np.ndarray:
             spec.field, points, syndrome_rhs(spec.field, cand, eye, r)))
         fam_sums = {j: np.empty((B, fam.group_count), dtype=np.int64)
                     for j, w in slots if w is None and j in node_row}
-        for (g0, g1), blocks in block_slices(B, fam.group_count, len(helpers) + r,
-                                             r * len(helpers)):
+
+        def solve(groups, blocks):
+            g0, g1 = groups
             a = fam.agg_tau[g0:g1]   # (g, W); b*A + a has the digits of a
             op = erasure_operator(spec, table, [coords.digit(a[:, w or 0], j) for j, w in slots],
                                   [coords.digit(a[:, 0], j) for j in helpers])
@@ -279,6 +298,8 @@ def repair_columns(plan_: RepairPlan, payload_matrix: np.ndarray) -> np.ndarray:
                         restored[node_row[j]][b0:b1, fam.agg_tau[g0:g1, w]] = xu
                     elif j in fam_sums:
                         fam_sums[j][b0:b1, g0:g1] = xu
+
+        each(solve, block_slices(B, fam.group_count, len(helpers) + r, r * len(helpers)))
         sums += [(fam, j, acc) for j, acc in fam_sums.items()]
         start += fam.group_count
 
