@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .field import PrimeField, next_prime
-from .grs import apply_operator, block_slices, each, solve_vandermonde, syndrome_rhs
+from .grs import apply_operator, each, solve_vandermonde, syndrome_rhs, units
 from .mixedradix import CoordinateSystem
 
 LAMBDA_RULE = "row-consecutive-v1"  # lambda_{i,j} = (i-1)*s_m + j + 1
@@ -202,14 +202,16 @@ def node_points(spec: CodeSpec, nodes: Sequence[int], a) -> np.ndarray:
     return out
 
 
-def erasure_inputs(spec: CodeSpec, slot_nodes: Sequence[int], known_nodes: Sequence[int]):
-    """Kernel inputs (points, candidates, identity) of an erasure table.
+def erasure_table(spec: CodeSpec, slot_nodes: Sequence[int], known_nodes: Sequence[int]):
+    """The operators of every word with e erased slots (on nodes slot_nodes;
+    a node may hold several) and m known nodes, from one call of the kernels,
+    laid out (e, m, s_m^e * s_m) for erasure_operator.
 
-    Row t = sum_u t_u * s_m^u puts erased slot u (on node slot_nodes[u]; a
-    node may hold several) at digit t_u; column i*s_m + c is known node i at
-    digit c.  Rows that repeat a point, which no word has, borrow a valid
-    row's points.  solve_vandermonde(points, syndrome_rhs(candidates,
-    identity, e)) is the (s_m^e, e, m*s_m) table operator_table lays out."""
+    Row t = sum_u t_u * s_m^u puts erased slot u at digit t_u; column
+    i*s_m + c is known node i at digit c.  Entry [u, i, t*s_m + c] is then
+    operator entry (u, i) of row t at known digit c, so every entry (u, i) is
+    one contiguous row that erasure_operator reads with a 1-D take.  Rows
+    that repeat a point, which no word has, borrow a valid row's points."""
     s_m, e, lam = spec.s_m, len(slot_nodes), spec.lam_array()
     digits = np.arange(s_m**e)[:, None] // s_m ** np.arange(e) % s_m
     points = lam[np.asarray(slot_nodes) - 1, digits]
@@ -217,24 +219,16 @@ def erasure_inputs(spec: CodeSpec, slot_nodes: Sequence[int], known_nodes: Seque
     repeats = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
     points[repeats] = points[~repeats][0]
     cand = lam[np.asarray(known_nodes) - 1].ravel()
-    eye = np.eye(cand.size, dtype=np.int64)
-    return points, np.broadcast_to(cand, (len(points),) + cand.shape), np.broadcast_to(
-        eye, (len(points),) + eye.shape)
-
-
-def operator_table(spec: CodeSpec, table: np.ndarray) -> np.ndarray:
-    """The (s_m^e, e, m*s_m) erasure table laid out as (e, m, s_m^e * s_m),
-    entry [u, i, t*s_m + c] = table[t, u, i*s_m + c], so that every operator
-    entry (u, i) is one contiguous row that erasure_operator reads with a
-    1-D take."""
-    rows, e, width = table.shape
-    m = width // spec.s_m
+    rows, m = len(points), len(known_nodes)
+    table = solve_vandermonde(spec.field, points, syndrome_rhs(
+        spec.field, np.broadcast_to(cand, (rows, cand.size)),
+        np.broadcast_to(np.eye(cand.size, dtype=np.int64), (rows, cand.size, cand.size)), e))
     return np.ascontiguousarray(
-        table.reshape(rows, e, m, spec.s_m).transpose(1, 2, 0, 3)).reshape(e, m, -1)
+        table.reshape(rows, e, m, s_m).transpose(1, 2, 0, 3)).reshape(e, m, -1)
 
 
 def erasure_operator(spec: CodeSpec, table: np.ndarray, slot_digits, known_digits):
-    """Per-word operators (e, m, L) read from an operator_table, given each
+    """Per-word operators (e, m, L) read from an erasure_table, given each
     erased slot's digit (e arrays (L,)) and each known node's (m arrays)."""
     e, m, _ = table.shape
     s_m = spec.s_m
@@ -256,9 +250,9 @@ def complete_columns(spec: CodeSpec, known_nodes: Sequence[int],
     known: (B, k, ell) integers for the 1-based known_nodes, reduced mod p
     only if an entry lies outside [0, p).  Returns (B, n, ell).  Exactly k
     known nodes are required; a plane's r erased symbols are then its erasure
-    operator applied to its k known ones.  One kernel solve builds the
-    operator table, and each slice unit (grs.each) reads its planes'
-    operators from it and applies them in place on its own part of out.
+    operator applied to its k known ones.  erasure_table builds the table
+    of operators once, and each unit of grs.units (run by grs.each) reads its
+    planes' operators from it and applies them in place on its part of out.
     """
     n, k, r, p = spec.n, spec.k, spec.r, spec.field.p
     nodes = [int(j) for j in known_nodes]
@@ -280,9 +274,7 @@ def complete_columns(spec: CodeSpec, known_nodes: Sequence[int],
         out[:, j - 1] = known[:, i]
     kept = sorted(nodes)
     erased = [j for j in range(1, n + 1) if j not in nodes]
-    points, cand, eye = erasure_inputs(spec, erased, kept)
-    table = operator_table(spec, solve_vandermonde(
-        spec.field, points, syndrome_rhs(spec.field, cand, eye, r)))
+    table = erasure_table(spec, erased, kept)
     coords, A, S = spec.coords, spec.s_m**n, spec.s
     # column layout: tau = b*A + a  ->  (B, n, S, A), a view of out
     planes = out.reshape(B, n, S, A)
@@ -296,7 +288,7 @@ def complete_columns(spec: CodeSpec, known_nodes: Sequence[int],
             apply_operator(p, op, [planes[b0:b1, j - 1, :, a0:a1] for j in kept],
                            [planes[b0:b1, j - 1, :, a0:a1] for j in erased])
 
-    each(work, block_slices(B, A, n * S, r * k))
+    each(work, units(B, A, n * S, r * k))
     return out
 
 
@@ -344,7 +336,7 @@ def verify_planes(spec: CodeSpec, columns: np.ndarray) -> bool:
                 return False
         return True
 
-    return all(each(vanish, block_slices(B, A, n * S, r * n)))
+    return all(each(vanish, units(B, A, n * S, r * n)))
 
 
 def random_data(spec: CodeSpec, rng: np.random.Generator, blocks: Optional[int] = None) -> np.ndarray:

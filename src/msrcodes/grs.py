@@ -7,12 +7,13 @@ x_E = C x_K (mod p) for the (e x m) erasure operator C = -V_E^-1 V_K of its
 points.  The two batched kernels build operators, not decode words:
 syndrome_rhs moves known entries to the right-hand side, and
 solve_vandermonde fills the erased ones, so on an identity right-hand side
-they give the columns of C.  apply_operator applies per-word operators in
-place, over the units of block_slices, at most SLICE_BUDGET = 2^20 elements
-each (measured at the constant), which each() runs on a pool of WORKERS
-threads.  Per-symbol arrays are reduced with mod_p, a floor division by the
-scalar p, never with an integer % p: numpy has a fast path for the former
-only.
+they give the columns of C (constructions.erasure_table lays them out).
+apply_operator applies per-word operators in place.  Every kernel loop cuts
+its words and blocks into units(), at most SLICE_BUDGET = 2^20 elements each
+(measured at the constant) and a multiple of WORKERS of them, which each()
+runs on a pool of WORKERS threads.  Per-symbol arrays are reduced with mod_p,
+a floor division by the scalar p, never with an integer % p: numpy has a fast
+path for the former only.
 
 Both kernels take one shape: points (G, m), one row of distinct points per
 word, and values or rhs (G, m, R), R right-hand sides per word.  Elimination
@@ -43,29 +44,36 @@ from .field import PrimeField
 SLICE_BUDGET = 1 << 20
 
 
-def slices(count: int, per_item: int):
-    """(start, stop) pairs covering range(count), each holding as many items
-    as fit SLICE_BUDGET elements at per_item elements each, and at least one."""
-    step = max(1, SLICE_BUDGET // max(1, per_item))
-    for start in range(0, count, step):
-        yield start, min(start + step, count)
-
-
-def block_slices(blocks: int, count: int, per_item: int, op_per_item: int):
-    """Units ((start, stop), block ranges) over `blocks` blocks of `count`
-    words, blocks first: all words with one run of whole blocks per unit while
-    one block and its operator fit SLICE_BUDGET, else one word range per unit
-    with every block, one at a time.  A word holds per_item elements per block
-    plus op_per_item operator elements.  Units cover disjoint (word, block)
-    pairs, so each() may run them in any order."""
-    if count * (per_item + op_per_item) <= SLICE_BUDGET:
-        return [((0, count), [b]) for b in slices(blocks, count * per_item)]
-    return [(w, [(b, b + 1) for b in range(blocks)]) for w in slices(count, per_item + op_per_item)]
-
-
 # Threads each() runs units on: the CPUs this process may use.  Units are
 # numpy-bound, and numpy releases the GIL inside its loops.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def units(blocks: int, count: int, per_item: int, op_per_item: int = 0) -> list:
+    """Units ((w0, w1), block ranges) over `blocks` blocks of `count` words,
+    for each().  A word holds per_item elements per block and op_per_item
+    operator elements.  Blocks first: while one block and its operators fit
+    SLICE_BUDGET, a unit is every word over a run of whole blocks, else a
+    range of words over every block, one at a time.  Either way a unit's
+    operators and one block range's words fit the budget when one item does.
+    The unit count is the fewest that fit, rounded up to a multiple of
+    WORKERS but to no more units than items, and the units are near-equal.
+    They cover disjoint (word, block) pairs, so each() may run them in any
+    order."""
+    if not blocks or not count:
+        return []
+    whole = count * (per_item + op_per_item) <= SLICE_BUDGET
+    if whole:
+        items, step = blocks, (SLICE_BUDGET - count * op_per_item) // max(1, count * per_item)
+    else:
+        items, step = count, SLICE_BUDGET // (per_item + op_per_item)
+    parts = -(-items // max(1, step))
+    parts = min(items, -(-parts // WORKERS) * WORKERS)
+    cuts = [i * items // parts for i in range(parts + 1)]
+    ranges = list(zip(cuts, cuts[1:]))
+    if whole:
+        return [((0, count), [b]) for b in ranges]
+    return [(w, [(b, b + 1) for b in range(blocks)]) for w in ranges]
 
 
 @functools.lru_cache(maxsize=None)

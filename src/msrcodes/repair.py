@@ -44,10 +44,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from . import audit, grs
-from .constructions import CodeSpec, Family, erasure_inputs, erasure_operator, operator_table
+from . import audit
+from .constructions import CodeSpec, Family, erasure_operator, erasure_table
 from .errors import ParameterError
-from .grs import apply_operator, block_slices, each, mod_p, solve_vandermonde, syndrome_rhs
+from .grs import apply_operator, each, mod_p, units
+from .grs import solve_vandermonde, syndrome_rhs  # noqa: F401  perfbench's tracer rebinds them
 from .hamming import build_partition
 
 
@@ -203,9 +204,9 @@ def helper_aggregate(plan_: RepairPlan, helper: int, column: np.ndarray) -> Help
 
     column is (ell,) or (B, ell); it is reduced mod p only if an entry lies
     outside [0, p).  Each family adds one take per slot into the output and
-    reduces once, with grs.mod_p.  The work is split into grs.WORKERS parts
-    per family for grs.each: over blocks when there are that many, else over
-    group ranges.
+    reduces once, with grs.mod_p.  A group reads width elements per block,
+    and grs.units cuts each family by that: into runs of whole blocks for the
+    stacked codewords of a cluster, into group ranges for one large column.
     """
     if helper not in plan_.helpers:
         raise ParameterError(f"node {helper} is not in the helper set")
@@ -216,31 +217,23 @@ def helper_aggregate(plan_: RepairPlan, helper: int, column: np.ndarray) -> Help
     out = np.empty(col.shape[:-1] + (plan_.per_helper,), dtype=np.int64)
     rows, outs = col.reshape(-1, col.shape[-1]), out.reshape(-1, plan_.per_helper)
 
-    def aggregate(blocks, groups, fam, start):
-        (b0, b1), (g0, g1) = blocks, groups
-        acc, src = outs[b0:b1, start + g0:start + g1], rows[b0:b1]
-        take = np.empty_like(acc)
-        # mode="clip" writes into out unbuffered; plan indices are below ell
-        np.take(src, fam.agg_tau[g0:g1, 0], axis=-1, out=acc, mode="clip")
-        for w in range(1, fam.width):
-            acc += np.take(src, fam.agg_tau[g0:g1, w], axis=-1, out=take, mode="clip")
-        mod_p(acc, p, take)
+    def aggregate(groups, blocks, fam, start):
+        g0, g1 = groups
+        for b0, b1 in blocks:
+            acc, src = outs[b0:b1, start + g0:start + g1], rows[b0:b1]
+            take = np.empty_like(acc)
+            # mode="clip" writes into out unbuffered; plan indices are below ell
+            np.take(src, fam.agg_tau[g0:g1, 0], axis=-1, out=acc, mode="clip")
+            for w in range(1, fam.width):
+                acc += np.take(src, fam.agg_tau[g0:g1, w], axis=-1, out=take, mode="clip")
+            mod_p(acc, p, take)
 
-    B, parts, units, start = len(rows), grs.WORKERS, [], 0
+    work, start = [], 0
     for fam in plan_.families:
-        if B >= parts:
-            units += [(b, (0, fam.group_count), fam, start) for b in _split(B, parts)]
-        else:
-            units += [((0, B), g, fam, start) for g in _split(fam.group_count, parts)]
+        work += [(g, b, fam, start) for g, b in units(len(rows), fam.group_count, fam.width)]
         start += fam.group_count
-    each(aggregate, units)
+    each(aggregate, work)
     return HelperPayload(helper, out)
-
-
-def _split(count: int, parts: int):
-    """At most `parts` (start, stop) ranges of near-equal size covering range(count)."""
-    step = max(1, -(-count // parts))
-    return [(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 def _payload_matrix(plan_: RepairPlan, payloads) -> np.ndarray:
@@ -264,9 +257,10 @@ def repair_columns(plan_: RepairPlan, payload_matrix: np.ndarray) -> np.ndarray:
 
     A group's r erased slots are its (r x d) erasure operator applied to the
     d helper sums.  The operator depends only on the digits of the erased
-    slots (an erasure table row) and of the helpers, so one kernel solve per
-    family builds the table, and each slice unit (grs.each) reads its groups'
-    operators from it and applies them to the payload matrix in place.
+    slots (an erasure table row) and of the helpers, so erasure_table builds
+    one table per family, and each unit of grs.units (run by grs.each) reads
+    its groups' operators from it and applies them to the payload matrix in
+    place.
     """
     spec, helpers, r = plan_.spec, plan_.helpers, plan_.spec.r
     p, coords = spec.field.p, spec.coords
@@ -279,9 +273,7 @@ def repair_columns(plan_: RepairPlan, payload_matrix: np.ndarray) -> np.ndarray:
         # erased slots: (member, w), then (other non-helper, None)
         slots = [(j, w) for j in fam.members for w in range(fam.width)]
         slots += [(j, None) for j in fam.others if j not in helpers]
-        points, cand, eye = erasure_inputs(spec, [j for j, _ in slots], helpers)
-        table = operator_table(spec, solve_vandermonde(
-            spec.field, points, syndrome_rhs(spec.field, cand, eye, r)))
+        table = erasure_table(spec, [j for j, _ in slots], helpers)
         fam_sums = {j: np.empty((B, fam.group_count), dtype=np.int64)
                     for j, w in slots if w is None and j in node_row}
 
@@ -299,7 +291,7 @@ def repair_columns(plan_: RepairPlan, payload_matrix: np.ndarray) -> np.ndarray:
                     elif j in fam_sums:
                         fam_sums[j][b0:b1, g0:g1] = xu
 
-        each(solve, block_slices(B, fam.group_count, len(helpers) + r, r * len(helpers)))
+        each(solve, units(B, fam.group_count, len(helpers) + r, r * len(helpers)))
         sums += [(fam, j, acc) for j, acc in fam_sums.items()]
         start += fam.group_count
 

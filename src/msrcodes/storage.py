@@ -225,10 +225,11 @@ def fail_nodes(state: ClusterState, nodes: Sequence[int]) -> ClusterState:
             f"failing {sorted(would_fail)} exceeds tolerance r={state.spec.r}")
     for j in nodes:
         state.manifest["statuses"][str(j)] = FAILED
-        path = state.shard_path(j)
-        if path.exists():
-            path.unlink()
+    # statuses first: a FAILED node with its file left is harmless, an ALIVE
+    # node without one is not
     state.save()
+    for j in nodes:
+        state.shard_path(j).unlink(missing_ok=True)
     return state
 
 

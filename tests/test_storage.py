@@ -95,6 +95,26 @@ def test_fail_nodes(tmp_path):
         fail_nodes(state, [7])
 
 
+def test_a_crash_in_fail_nodes_leaves_no_alive_node_without_its_shard(tmp_path, monkeypatch):
+    payload = bytes(range(200))
+    ingest(payload, c3_spec(), tmp_path / "c")
+
+    def crash(self):
+        raise OSError("crash before the manifest is saved")
+
+    monkeypatch.setattr(storage.ClusterState, "save", crash)
+    with pytest.raises(OSError, match="crash"):
+        fail_nodes(load_cluster(tmp_path / "c"), [1])
+    monkeypatch.undo()
+    state = load_cluster(tmp_path / "c")
+    assert state.alive_nodes() == list(range(1, 7))
+    assert all(state.shard_path(j).exists() for j in state.alive_nodes())
+    assert extract(state) == payload
+    fail_nodes(state, [1, 2])
+    run_repair(state, [1, 2], [3, 4, 5, 6], (2, 4))
+    assert extract(load_cluster(tmp_path / "c")) == payload
+
+
 def test_repair_roundtrip_and_ledger(tmp_path):
     payload = np.random.default_rng(0).integers(0, 256, size=5000,
                                                 dtype=np.uint8).tobytes()

@@ -1,5 +1,5 @@
 import msrcodes
-from msrcodes import constructions, errors, field, grs, mixedradix, storage
+from msrcodes import constructions, errors, field, grs, mixedradix, repair, storage
 
 REMOVED = [
     (msrcodes, ("FieldElement", "FieldMismatchError", "ScenarioError")),
@@ -12,6 +12,9 @@ REMOVED = [
     (grs, ("systematic_extend",)),
     (grs, ("GrsWord", "ERASED", "erasure_decode", "syndromes")),
     (constructions, ("node_point_matrix",)),
+    (grs, ("slices", "block_slices")),
+    (constructions, ("erasure_inputs", "operator_table")),
+    (repair, ("_split",)),
 ]
 
 

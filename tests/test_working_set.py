@@ -1,4 +1,4 @@
-"""The batched GRS kernels run over plane and group slices (grs.slices).
+"""The batched GRS kernels run over plane and group slices (grs.units).
 
 Slicing must not change a single output bit, wherever the slice boundaries
 fall, and it must keep the kernels' temporaries near grs.SLICE_BUDGET
@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msrcodes import constructions, grs, repair
+from msrcodes import constructions, grs
 from msrcodes.constructions import (build, complete_columns, encode_blocks, mds_reconstruct,
                                     random_data, verify_planes)
 from msrcodes.repair import center_repair, helper_aggregate, plan
@@ -142,7 +142,7 @@ def test_repair_solves_once_per_family(monkeypatch, name, failed, helpers, patte
     columns = encode_blocks(spec, random_data(spec, np.random.default_rng(6), blocks=BLOCKS))
     pl = plan(spec, failed, helpers, pattern)
     payloads = [helper_aggregate(pl, j, columns[:, j - 1]) for j in pl.helpers]
-    calls = _count_solves(monkeypatch, repair)
+    calls = _count_solves(monkeypatch, constructions)   # erasure_table's kernel call
     for budget in (grs.SLICE_BUDGET, 1, 3 * (len(helpers) + spec.r) * BLOCKS):
         monkeypatch.setattr(grs, "SLICE_BUDGET", budget)
         calls.clear()
@@ -151,11 +151,40 @@ def test_repair_solves_once_per_family(monkeypatch, name, failed, helpers, patte
         assert len(calls) == len(pl.families), budget
 
 
-def test_slices_cover_the_range_in_budget_sized_steps(monkeypatch):
-    monkeypatch.setattr(grs, "SLICE_BUDGET", 10)
-    assert list(grs.slices(7, 3)) == [(0, 3), (3, 6), (6, 7)]
-    assert list(grs.slices(3, 11)) == [(0, 1), (1, 2), (2, 3)]  # at least one item
-    assert list(grs.slices(0, 3)) == []
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_units_cover_every_pair_once_within_the_budget(monkeypatch, workers):
+    budget = 40
+    monkeypatch.setattr(grs, "SLICE_BUDGET", budget)
+    monkeypatch.setattr(grs, "WORKERS", workers)
+    grid = itertools.product([0, 1, 2, 3, 7, 16], [0, 1, 2, 5, 13], [1, 3, 11], [0, 2, 9])
+    for blocks, count, per, op in grid:
+        case = (blocks, count, per, op)
+        got = grs.units(blocks, count, per, op)
+        pairs = [(w, b) for (w0, w1), ranges in got for b0, b1 in ranges
+                 for w in range(w0, w1) for b in range(b0, b1)]
+        assert sorted(pairs) == list(itertools.product(range(count), range(blocks))), case
+        if not blocks or not count:
+            assert got == [], case
+            continue
+        if per + op <= budget:   # one item fits
+            for (w0, w1), ranges in got:
+                assert all((w1 - w0) * (op + (b1 - b0) * per) <= budget for b0, b1 in ranges), case
+        whole = count * (per + op) <= budget
+        items = blocks if whole else count
+        sizes = [b1 - b0 for _, ((b0, b1),) in got] if whole else [w1 - w0 for (w0, w1), _ in got]
+        assert max(sizes) - min(sizes) <= 1, case   # near-equal
+        # a multiple of WORKERS, unless every unit already holds one item
+        assert len(got) % workers == 0 or len(got) == items, case
+
+
+def test_units_split_a_1_mib_cluster_evenly_over_two_workers(monkeypatch):
+    monkeypatch.setattr(grs, "WORKERS", 2)
+    # c3(6,2,(2,4)) encode: 4096 blocks of 64 planes, n*s = 12 elements each;
+    # the budget alone gives 1365 / 1365 / 1365 / 1 blocks
+    assert grs.units(4096, 64, 12) == [((0, 64), [(b, b + 1024)]) for b in range(0, 4096, 1024)]
+    assert grs.units(4096, 64, 12, 8) == grs.units(4096, 64, 12)
+    # c4(6,2,{(1,3),(2,4),(3,3)}) encode: 2048 blocks, n*s = 24, r*k = 8
+    assert grs.units(2048, 64, 24, 8) == [((0, 64), [(b, b + 512)]) for b in range(0, 2048, 512)]
 
 
 def test_encode_working_set_stays_near_the_slice_budget():
