@@ -188,17 +188,19 @@ class Codeword:
         return self.columns[j - 1]
 
 
-def node_points(spec: CodeSpec, nodes: Sequence[int], a) -> np.ndarray:
+def node_points(spec: CodeSpec, nodes: Sequence[int], a, digits=None) -> np.ndarray:
     """points[i, ...] = lambda_{nodes[i], a_{nodes[i]}} for plane indices a
-    of any shape; shape (len(nodes),) + a.shape.
+    of any shape; shape (len(nodes),) + a.shape.  digits is
+    spec.coords.digit_table(nodes), built here unless the caller has it.
 
     The one place a (node, plane) pair becomes its evaluation point.
     """
-    coords, lam = spec.coords, spec.lam_array()
+    lam = spec.lam_array()
+    digits = spec.coords.digit_table(nodes) if digits is None else digits
     a = np.asarray(a, dtype=np.int64)
     out = np.empty((len(nodes),) + a.shape, dtype=np.int64)
-    for i, j in enumerate(nodes):
-        out[i] = lam[j - 1, coords.digit(a, j)]
+    for i, (j, row) in enumerate(zip(nodes, digits)):
+        out[i] = lam[j - 1, np.take(row, a)]
     return out
 
 
@@ -229,12 +231,17 @@ def erasure_table(spec: CodeSpec, slot_nodes: Sequence[int], known_nodes: Sequen
 
 def erasure_operator(spec: CodeSpec, table: np.ndarray, slot_digits, known_digits):
     """Per-word operators (e, m, L) read from an erasure_table, given each
-    erased slot's digit (e arrays (L,)) and each known node's (m arrays)."""
+    erased slot's digit (e arrays (L,)) and each known node's (m arrays), in
+    any integer dtype (digit tables are uint8).  The row index is built in
+    int64, since s_m^(e+1) may pass 255, under NEP 50 and numpy 1.x
+    promotion alike."""
     e, m, _ = table.shape
     s_m = spec.s_m
-    row = sum(dig * s_m ** (u + 1) for u, dig in enumerate(slot_digits))
-    op = np.empty((e, m, len(row)), dtype=np.int64)
+    row = np.zeros(len(slot_digits[0]), dtype=np.int64)
     idx = np.empty_like(row)
+    for u, dig in enumerate(slot_digits):
+        row += np.multiply(dig, s_m ** (u + 1), out=idx, dtype=np.int64)
+    op = np.empty((e, m, len(row)), dtype=np.int64)
     for i, dig in enumerate(known_digits):
         np.add(row, dig, out=idx)
         for u in range(e):
@@ -275,15 +282,13 @@ def complete_columns(spec: CodeSpec, known_nodes: Sequence[int],
     kept = sorted(nodes)
     erased = [j for j in range(1, n + 1) if j not in nodes]
     table = erasure_table(spec, erased, kept)
-    coords, A, S = spec.coords, spec.s_m**n, spec.s
+    digits, A, S = spec.coords.digit_table(erased + kept), spec.s_m**n, spec.s
     # column layout: tau = b*A + a  ->  (B, n, S, A), a view of out
     planes = out.reshape(B, n, S, A)
 
     def work(words, blocks):
         a0, a1 = words
-        a = np.arange(a0, a1)
-        op = erasure_operator(spec, table, [coords.digit(a, j) for j in erased],
-                              [coords.digit(a, j) for j in kept])
+        op = erasure_operator(spec, table, digits[:r, a0:a1], digits[r:, a0:a1])
         for b0, b1 in blocks:
             apply_operator(p, op, [planes[b0:b1, j - 1, :, a0:a1] for j in kept],
                            [planes[b0:b1, j - 1, :, a0:a1] for j in erased])
@@ -321,11 +326,12 @@ def verify_planes(spec: CodeSpec, columns: np.ndarray) -> bool:
     n, r, p, A, S = spec.n, spec.r, spec.field.p, spec.s_m**spec.n, spec.s
     cols = spec.field.residues(cols)
     planes = cols.reshape(B, n, S, A)
+    digits = spec.coords.digit_table()
 
     def vanish(words, blocks):
         # the checks as an operator: op[t, j] = (point of node j)^t per plane
         a0, a1 = words
-        pts = node_points(spec, range(1, n + 1), np.arange(a0, a1))
+        pts = node_points(spec, range(1, n + 1), np.arange(a0, a1), digits)
         op = np.ones((r, n, a1 - a0), dtype=np.int64)
         for t in range(1, r):
             op[t] = op[t - 1] * pts % p

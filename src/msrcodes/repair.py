@@ -15,17 +15,22 @@ nodes, and the sums of idle nodes), filled by the group's erasure operator.
 A plan stores only each group's aggregation coordinates (agg_tau), slot-major:
 agg_tau[:, w] is contiguous, so a helper sums its column over a family with
 one take per slot and one reduction (grs.mod_p, a division by the scalar p,
-not an integer %), and the solve reads every slot's digit from
-them, slice by slice, in one fixed order:
-known slots are the helpers ascending; erased slots are the members' (j, w)
-slots, then the other non-helpers ascending.
+not an integer %).  The solve reads, slice by slice, every node's digit at
+a group's first slot with one wrap-mode take of a uint8 digit table
+(CoordinateSystem.digit_table) at agg_tau[:, 0], and a member's slot w from
+an s_m-entry lookup, since slot w shifts the member digits by w.  Its slots
+are in one fixed order: known slots are the helpers ascending; erased slots
+are the members' (j, w) slots, then the other non-helpers ascending.  The
+helpers' payloads enter the solve as they are, with no copy.
 Families with more than one member set (C3, C4, Hadamard) run a second,
 download-free step: each remaining coordinate of a failed node equals its
 recovered group sum minus symbols already known from step 1.
 
 One builder makes every family: a group is the orbit of a base plane under
 cyclic shifts of its digits at the member positions P, the v-th shifted plane
-placed in block b_table[u, v].  Schemes differ only in that data:
+placed in block b_table[u, v].  The shifts, the base-plane selections and the
+builder's repeated-digit check all read the digit table; nothing in a plan
+divides.  Schemes differ only in that data:
 
   pinned    largest-s C1/C2 pattern; base planes have digit 0 at min(H),
             b_table[b, v] = b
@@ -124,8 +129,8 @@ def _orbit_family(spec: CodeSpec, index: int, P: tuple, R: tuple,
     # d + r distinct points per group: the lam entries are distinct, so this
     # holds iff each member's W digits differ within every group.  (Checked
     # after agg_tau is made: temporaries made before it raised c1 peak RSS.)
-    for j in P:
-        digits = [coords.digit(a, j) for a in shifted]
+    for row in coords.digit_table(P):
+        digits = [np.take(row, a) for a in shifted]
         if any(np.any(digits[v] == digits[w]) for w in range(W) for v in range(w)):
             raise ParameterError("repeated evaluation point in a repair group (internal)")
     agg_tau = slot_major.T
@@ -159,20 +164,19 @@ def plan(spec: CodeSpec, failed: Sequence[int], helpers: Sequence[int],
     partition = tuple(H[i:i + info.delta] for i in range(0, h, info.delta))
 
     coords = spec.coords
-    a_all = np.arange(coords.a_count, dtype=np.int64)
     if spec.family is Family.HADAMARD:
         # plane pairs {a, a + 1_{P_i}} with a|_M in the Hamming coset V_0, where
         # M holds one representative position (the maximum) per P_i
         part = build_partition((info.h // info.delta).bit_length())  # h/(d-k) = 2^w - 1
         M = tuple(max(P) for P in partition)
-        y = sum(coords.digit(a_all, pos) << gi for gi, pos in enumerate(M))
-        a_base = a_all[part.class_table()[y] == 0]
+        y = (1 << np.arange(len(M))) @ coords.digit_table(M)
+        a_base = np.flatnonzero(part.class_table()[y] == 0)
         b_tables = [np.zeros((1, 2), dtype=np.int64)] * len(partition)
         extras = {"M": M, "partition": part}
     elif info.pinned:
         # largest-s pattern of C1/C2: full s_m-orbits whose representative has
         # digit 0 at min(H), repeated in every block b
-        a_base = a_all[coords.digit(a_all, H[0]) == 0]
+        a_base = np.flatnonzero(coords.digit_table(H[:1])[0] == 0)
         b_tables = [np.repeat(np.arange(spec.s)[:, None], spec.s_m, axis=1)]
         extras = {}
     else:
@@ -182,7 +186,7 @@ def plan(spec: CodeSpec, failed: Sequence[int], helpers: Sequence[int],
         u = spec.s // wi
         omega = {i: tuple(range(si - 1)) + (si - 2 + i,)
                  for i in range(1, len(partition) + 1)}
-        a_base = a_all
+        a_base = np.arange(coords.a_count, dtype=np.int64)
         b_tables = [np.arange(u)[:, None] * wi + np.array(omega[i]) for i in omega]
         extras = {"omega": omega}
     fams = [_orbit_family(spec, i, P, R, a_base, b_tables[i - 1])
@@ -236,37 +240,40 @@ def helper_aggregate(plan_: RepairPlan, helper: int, column: np.ndarray) -> Help
     return HelperPayload(helper, out)
 
 
-def _payload_matrix(plan_: RepairPlan, payloads) -> np.ndarray:
-    """Payloads as residues in one (d, B, per_helper) int64 array, helper order;
-    a payload is reduced mod p only if an entry lies outside [0, p)."""
+def _payload_arrays(plan_: RepairPlan, payloads) -> list:
+    """Payloads as d (B, per_helper) int64 residue arrays in helper order,
+    uncopied; a payload is reduced mod p only if an entry lies outside [0, p)."""
     by_node = {int(pl.helper): np.atleast_2d(pl.values) for pl in payloads}
     if set(by_node) != set(plan_.helpers):
         raise ParameterError("payloads do not match the helper set")
-    B = by_node[plan_.helpers[0]].shape[0]
-    matrix = np.empty((len(plan_.helpers), B, plan_.per_helper), dtype=np.int64)
-    for j, out in zip(plan_.helpers, matrix):
-        if by_node[j].shape != out.shape:
+    shape = (by_node[plan_.helpers[0]].shape[0], plan_.per_helper)
+    for j in plan_.helpers:
+        if by_node[j].shape != shape:
             raise ParameterError(
-                f"helper {j} payload has shape {by_node[j].shape}, expected {out.shape}")
-        out[...] = plan_.spec.field.residues(by_node[j])
-    return matrix
+                f"helper {j} payload has shape {by_node[j].shape}, expected {shape}")
+    return [plan_.spec.field.residues(by_node[j]) for j in plan_.helpers]
 
 
-def repair_columns(plan_: RepairPlan, payload_matrix: np.ndarray) -> np.ndarray:
+def repair_columns(plan_: RepairPlan, payloads: Sequence[np.ndarray]) -> np.ndarray:
     """Solve all groups and run the subtraction step; returns (h, B, ell).
 
-    A group's r erased slots are its (r x d) erasure operator applied to the
-    d helper sums.  The operator depends only on the digits of the erased
-    slots (an erasure table row) and of the helpers, so erasure_table builds
-    one table per family, and each unit of grs.units (run by grs.each) reads
-    its groups' operators from it and applies them to the payload matrix in
-    place.
+    payloads holds the d helpers' (B, per_helper) residue arrays, in helper
+    order.  A group's r erased slots are its (r x d) erasure operator applied
+    to the d helper sums.  The operator depends only on the digits of the
+    erased slots (an erasure table row) and of the helpers, so erasure_table
+    builds one table per family, and each unit of grs.units (run by grs.each)
+    reads its groups' operators from it and applies them to the payloads in
+    place.  A unit reads its groups' digits with one wrap-mode take of the
+    family's digit table at agg_tau[:, 0] = b*A + a; member j's slot w holds
+    the plane shifted by w at j, so its digit is (a_j + w) mod s_m, read from
+    an s_m-entry lookup.
     """
     spec, helpers, r = plan_.spec, plan_.helpers, plan_.spec.r
-    p, coords = spec.field.p, spec.coords
-    B = payload_matrix.shape[1]
+    p, s_m = spec.field.p, spec.s_m
+    B = payloads[0].shape[0]
     restored = np.zeros((len(plan_.failed), B, spec.ell), dtype=np.int64)
     node_row = {j: i for i, j in enumerate(plan_.failed)}
+    shifts = [((np.arange(s_m) + w) % s_m).astype(np.uint8) for w in range(s_m)]
 
     sums, start = [], 0
     for fam in plan_.families:
@@ -274,17 +281,22 @@ def repair_columns(plan_: RepairPlan, payload_matrix: np.ndarray) -> np.ndarray:
         slots = [(j, w) for j in fam.members for w in range(fam.width)]
         slots += [(j, None) for j in fam.others if j not in helpers]
         table = erasure_table(spec, [j for j, _ in slots], helpers)
+        # digit table rows: the members, the other non-helpers, the helpers
+        nodes = list(fam.members) + [j for j, w in slots if w is None] + list(helpers)
+        digit_table, slot_rows = spec.coords.digit_table(nodes), [nodes.index(j) for j, _ in slots]
         fam_sums = {j: np.empty((B, fam.group_count), dtype=np.int64)
                     for j, w in slots if w is None and j in node_row}
 
         def solve(groups, blocks):
             g0, g1 = groups
-            a = fam.agg_tau[g0:g1]   # (g, W); b*A + a has the digits of a
-            op = erasure_operator(spec, table, [coords.digit(a[:, w or 0], j) for j, w in slots],
-                                  [coords.digit(a[:, 0], j) for j in helpers])
+            dig = np.take(digit_table, fam.agg_tau[g0:g1, 0], axis=1, mode="wrap")
+            op = erasure_operator(spec, table,
+                                  [np.take(shifts[w], dig[i]) if w else dig[i]
+                                   for (_, w), i in zip(slots, slot_rows)],
+                                  dig[-len(helpers):])
             for b0, b1 in blocks:
                 x = np.empty((r, b1 - b0, g1 - g0), dtype=np.int64)
-                apply_operator(p, op, payload_matrix[:, b0:b1, start + g0:start + g1], x)
+                apply_operator(p, op, [pl[b0:b1, start + g0:start + g1] for pl in payloads], x)
                 for (j, w), xu in zip(slots, x):
                     if w is not None:
                         restored[node_row[j]][b0:b1, fam.agg_tau[g0:g1, w]] = xu
@@ -326,12 +338,12 @@ def center_repair(plan_: RepairPlan, payloads):
     (B, per_helper) for B stacked codewords).  Returns ({node: column},
     RepairTranscript); columns are (ell,) when payloads were 1-D.
     """
-    matrix = _payload_matrix(plan_, payloads)
+    arrays = _payload_arrays(plan_, payloads)
     squeeze = all(pl.values.ndim == 1 for pl in payloads)
-    restored = repair_columns(plan_, matrix)
+    restored = repair_columns(plan_, arrays)
     out = {node: restored[i, 0] if squeeze else restored[i]
            for i, node in enumerate(plan_.failed)}
-    return out, build_transcript(plan_, blocks=matrix.shape[1])
+    return out, build_transcript(plan_, blocks=arrays[0].shape[0])
 
 
 def repair_from_codeword(plan_: RepairPlan, columns: np.ndarray):

@@ -327,6 +327,30 @@ def test_erasure_operator_matches_a_fancy_index_read(family, n, k, pats):
         assert np.array_equal(got, _fancy_operator(spec, table, slot_digits, known_digits))
 
 
+@pytest.mark.parametrize("family, n, k, pats", [
+    ("c3", 6, 2, [(2, 4)]),              # s_m = 2
+    ("c1", 5, 2, [(1, 3), (1, 4)]),      # s_m = 3
+    ("c2", 8, 2, [(1, 5)]),              # s_m = 4
+])
+def test_erasure_operator_reads_uint8_digits_as_int64_ones(family, n, k, pats):
+    # digit tables are uint8, and a row index reaches s_m^(e+1) - 1, beyond
+    # 255 from s_m = 4, e = 3 on: under NEP 50 and numpy 1.x promotion alike
+    # the index must be built in int64
+    spec = build(family, n, k, pats)
+    rng = np.random.default_rng(11)
+    for e in (1, 2, 3, 4):
+        m = n - e
+        table = rng.integers(0, spec.field.p, size=(spec.s_m**e, e, m * spec.s_m))
+        slot_digits = rng.integers(0, spec.s_m, size=(e, 60))
+        slot_digits[:, 0] = spec.s_m - 1   # the last row of the table
+        known_digits = rng.integers(0, spec.s_m, size=(m, 60))
+        want = _fancy_operator(spec, table, list(slot_digits), list(known_digits))
+        for digits in (slot_digits, slot_digits.astype(np.uint8)):
+            for known in (known_digits, known_digits.astype(np.uint8)):
+                got = erasure_operator(spec, _laid_out(spec, table), list(digits), list(known))
+                assert np.array_equal(got, want), (e, digits.dtype, known.dtype)
+
+
 def test_reconstruct_requires_exactly_k():
     spec = build("c3", 6, 2, [(2, 4)])
     rng = np.random.default_rng(5)

@@ -80,3 +80,35 @@ def test_digit_matches_floor_divide_and_remainder(base, ndigits):
         want = (a // base ** (i - 1)) % base
         assert np.array_equal(cs.digit(a, i), want)
         assert [cs.digit(int(x), i) for x in a[:20]] == want[:20].tolist()
+
+
+@pytest.mark.parametrize("base", [2, 3, 4, 5])
+@pytest.mark.parametrize("ndigits", [1, 2, 3, 4, 5, 6])
+def test_digit_table_is_the_divided_digit_at_every_position(base, ndigits):
+    cs = CoordinateSystem(base, ndigits)
+    q = np.arange(cs.a_count)
+    table = cs.digit_table()
+    assert table.dtype == np.uint8 and table.shape == (ndigits, cs.a_count)
+    for i in range(1, ndigits + 1):
+        qi = q // base ** (i - 1)
+        assert np.array_equal(table[i - 1], qi - qi // base * base)
+    # any positions, in any order, and repeated
+    picked = [ndigits, 1, ndigits]
+    assert np.array_equal(cs.digit_table(picked), table[[j - 1 for j in picked]])
+    # scalar shifts read the same table as array ones
+    for v in range(base):
+        shifted = cs.shift_digits(q, [ndigits], v)
+        for a in range(0, cs.a_count, max(1, cs.a_count // 50)):
+            assert cs.shift_digits(a, [ndigits], v) == shifted[a]
+            ds = list(cs.digits(a))
+            ds[-1] = (ds[-1] + v) % base
+            assert shifted[a] == from_digits(ds, base)
+
+
+def test_digit_table_range_checks():
+    with pytest.raises(ParameterError):
+        CoordinateSystem(3, 2).digit_table([3])
+    with pytest.raises(ParameterError):
+        CoordinateSystem(3, 2).digit_table([0])
+    with pytest.raises(ParameterError):
+        CoordinateSystem(257, 1).digit_table()
