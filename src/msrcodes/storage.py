@@ -18,6 +18,12 @@ against the manifest digest (logged as local I/O), and writes the plan's
 per-group sums from repair.helper_aggregate to a transfer file; the data
 center reads *only* those transfer files, through an access log, so
 downloaded bytes are exactly transcript count x 8.
+
+A shard file is one buffer: its elements are cast straight into it after the
+header, and its SHA-256 and its write run as two grs.each units (hashlib and
+file writes release the GIL).  A read fills one buffer whose elements start
+8-byte aligned, checks the digest, the header, the length and element < p,
+and returns the elements as an int64 view of that buffer.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from . import repair as repair_mod
 from .constructions import (CodeSpec, Family, encode_blocks, complete_columns,
                             manifest_dict, spec_from_manifest)
 from .errors import CorruptionError, DataLossError, ParameterError
+from .grs import each
 
 MAGIC = b"MSR1"
 VERSION = 1
@@ -67,28 +74,53 @@ class AccessLog:
         return self.by_category.get(category, 0)
 
 
-def _atomic_write(path: Path, payload: bytes):
+def _atomic_write(path: Path, payload):
+    """Write a bytes-like payload to a tmp file, then move it over path."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_bytes(payload)
     os.replace(tmp, path)
 
 
-def _shard_blob(spec: CodeSpec, node: int, elements: np.ndarray) -> bytes:
-    """The exact bytes of node's shard file."""
-    flat = np.ascontiguousarray(elements, dtype=np.int64).ravel()
-    if np.any((flat < 0) | (flat >= spec.field.p)):
+def _sha256(blob) -> str:
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _run(fn, *args):
+    return fn(*args)
+
+
+def _file_buffer(nbytes: int) -> np.ndarray:
+    """An uninitialised uint8 buffer of nbytes for a shard file, placed so
+    that its byte HEADER_SIZE, where the elements start, is 8-byte aligned."""
+    raw = np.empty(nbytes + ELEMENT_SIZE - 1, dtype=np.uint8)
+    pad = -(raw.ctypes.data + HEADER_SIZE) % ELEMENT_SIZE
+    return raw[pad:pad + nbytes]
+
+
+def _shard_blob(spec: CodeSpec, node: int, elements: np.ndarray) -> np.ndarray:
+    """The exact bytes of node's shard file, as one uint8 buffer: the header,
+    then the elements cast straight into it from any strided int64 or uint64
+    array."""
+    x = np.asarray(elements)
+    if x.dtype != np.int64 and x.dtype != np.uint64:
+        x = x.astype(np.int64)
+    # one pass: read as uint64, a negative int64 lies at or above 2^63 > p
+    if x.size and x.view(np.uint64).max() >= spec.field.p:
         raise ParameterError("element outside [0, p)")
-    header = HEADER.pack(MAGIC, VERSION, node, spec.n, spec.k,
-                         FAMILY_TAGS[spec.family], flat.size, spec.field.p)
-    return header + flat.astype("<u8").tobytes()
+    blob = _file_buffer(HEADER_SIZE + x.size * ELEMENT_SIZE)
+    HEADER.pack_into(blob, 0, MAGIC, VERSION, node, spec.n, spec.k,
+                     FAMILY_TAGS[spec.family], x.size, spec.field.p)
+    blob[HEADER_SIZE:].view("<u8").reshape(x.shape)[...] = x
+    return blob
 
 
 def write_shard(path: Path, spec: CodeSpec, node: int, elements: np.ndarray) -> str:
-    """Write one node's elements; returns the file's SHA-256 hex digest.
-    Ingest writes through here; run_repair writes its verified blobs itself."""
+    """Write one node's elements; returns the file's SHA-256 hex digest, which
+    is computed while the file is written (two each() units).  Ingest writes
+    through here; run_repair writes its verified blobs itself."""
     blob = _shard_blob(spec, node, elements)
-    _atomic_write(path, blob)
-    return hashlib.sha256(blob).hexdigest()
+    digest, _ = each(_run, [(_sha256, blob), (_atomic_write, path, blob)])
+    return digest
 
 
 def read_shard(path: Path, log: Optional[AccessLog] = None,
@@ -97,26 +129,31 @@ def read_shard(path: Path, log: Optional[AccessLog] = None,
 
     When digest is given (the manifest's SHA-256 of the file) it is checked
     first, so any damaged, truncated or misplaced shard is rejected by path.
+    The file is read once, into a buffer whose elements start 8-byte aligned,
+    and the elements come back as a writeable int64 view of it.
     """
     try:
-        blob = Path(path).read_bytes()
+        f = open(path, "rb")
     except FileNotFoundError:
         raise CorruptionError(f"{path}: shard file is missing") from None
+    with f:
+        buf = _file_buffer(os.fstat(f.fileno()).st_size)
+        buf = buf[:f.readinto(buf)]
     if log is not None:
-        log.record(path, len(blob), "shard")
-    if digest is not None and hashlib.sha256(blob).hexdigest() != digest:
+        log.record(path, buf.size, "shard")
+    if digest is not None and _sha256(buf) != digest:
         raise CorruptionError(f"{path}: shard digest does not match the manifest")
-    if len(blob) < HEADER_SIZE:
+    if buf.size < HEADER_SIZE:
         raise CorruptionError(f"{path}: shard is shorter than its {HEADER_SIZE}-byte header")
-    magic, version, node, n, k, tag, count, p = HEADER.unpack(blob[:HEADER_SIZE])
+    magic, version, node, n, k, tag, count, p = HEADER.unpack_from(buf)
     if magic != MAGIC or version != VERSION:
         raise CorruptionError(f"{path}: bad shard magic/version")
-    if len(blob) != HEADER_SIZE + count * ELEMENT_SIZE:
+    if buf.size != HEADER_SIZE + count * ELEMENT_SIZE:
         raise CorruptionError(f"{path}: element count mismatch")
-    raw = np.frombuffer(blob[HEADER_SIZE:], dtype="<u8")
-    if np.any(raw >= p):  # on the u64 values: as int64, one >= 2^63 reads negative
+    raw = buf[HEADER_SIZE:].view("<u8")
+    if count and raw.max() >= p:  # on the u64 values: as int64, one >= 2^63 reads negative
         raise CorruptionError(f"{path}: element >= p")
-    return node, raw.astype(np.int64)
+    return node, raw.view("<i8")
 
 
 def read_elements(path: Path, indices: np.ndarray, log: Optional[AccessLog] = None) -> np.ndarray:
@@ -155,11 +192,6 @@ class ClusterState:
                       json.dumps(self.manifest, indent=2).encode())
 
 
-def _data_digest(data: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(data, dtype=np.int64)
-                          .astype("<u8").tobytes()).hexdigest()
-
-
 def ingest(payload: Optional[bytes], spec: CodeSpec, root,
            seed: int = 0, blocks: int = 1) -> ClusterState:
     """Shard a payload (or seeded synthetic symbols) across n node files.
@@ -176,9 +208,9 @@ def ingest(payload: Optional[bytes], spec: CodeSpec, root,
                 "(build with min_prime=257)")
         nblocks = max(1, math.ceil(len(payload) / block_syms))
         padding = nblocks * block_syms - len(payload)
-        data = np.frombuffer(payload + b"\x00" * padding, dtype=np.uint8)
-        data = data.astype(np.int64).reshape(nblocks, spec.k, spec.ell)
-        digest = hashlib.sha256(payload).hexdigest()
+        data = np.zeros((nblocks, spec.k, spec.ell), dtype=np.int64)
+        data.reshape(-1)[:len(payload)] = np.frombuffer(payload, dtype=np.uint8)
+        digest = _sha256(payload)
         mode, payload_len = "bytes", len(payload)
     else:
         if blocks < 1:
@@ -187,7 +219,7 @@ def ingest(payload: Optional[bytes], spec: CodeSpec, root,
         nblocks = blocks
         data = rng.integers(0, spec.field.p, size=(nblocks, spec.k, spec.ell),
                             dtype=np.int64)
-        digest = _data_digest(data)
+        digest = _sha256(data.astype("<i8", copy=False))  # the symbols' <u8 bytes
         mode, padding, payload_len = "symbols", 0, nblocks * block_syms
 
     encoded = encode_blocks(spec, data)  # (B, n, ell)
@@ -241,7 +273,8 @@ def _helper_transfer(state: ClusterState, plan_, helper: int) -> Path:
     payload = repair_mod.helper_aggregate(
         plan_, helper, elements.reshape(state.blocks, state.spec.ell))
     tpath = state.root / "transfer" / f"helper_{helper:02d}.payload"
-    _atomic_write(tpath, payload.values.astype("<u8").tobytes())
+    # the sums lie in [0, p): their <i8 bytes are the <u8 the center reads
+    _atomic_write(tpath, np.ascontiguousarray(payload.values, dtype="<i8"))
     return tpath
 
 
@@ -285,13 +318,13 @@ def run_repair(state: ClusterState, failed: Sequence[int], helpers: Sequence[int
 
     # verify every restored shard in memory before any of them reaches disk,
     # then write the very blobs that were hashed
-    blobs = {j: _shard_blob(spec, j, restored[j]) for j in failed}
-    for j, blob in blobs.items():
-        if hashlib.sha256(blob).hexdigest() != state.shard_digest(j):
+    blobs = [_shard_blob(spec, j, restored[j]) for j in failed]
+    for j, digest in zip(failed, each(_sha256, [(blob,) for blob in blobs])):
+        if digest != state.shard_digest(j):
             raise CorruptionError(f"restored shard for node {j} does not match "
                                   "its pre-failure digest")
-    for j, blob in blobs.items():
-        _atomic_write(state.shard_path(j), blob)
+    each(_atomic_write, [(state.shard_path(j), blob) for j, blob in zip(failed, blobs)])
+    for j in failed:
         state.manifest["statuses"][str(j)] = ALIVE
     state.manifest.setdefault("repairs", []).append(transcript.to_json())
     state.save()
@@ -309,17 +342,26 @@ def extract(state: ClusterState) -> bytes:
     if len(alive) < spec.k:
         raise DataLossError(f"only {len(alive)} alive nodes, need {spec.k}")
     use = alive[:spec.k]
-    data = np.stack([read_shard(state.shard_path(j), digest=state.shard_digest(j))[1]
-                     .reshape(state.blocks, spec.ell) for j in use], axis=1)  # (B, k, ell)
-    if use != list(range(1, spec.k + 1)):  # decode the systematic nodes 1..k
-        data = complete_columns(spec, use, data)[:, :spec.k]
-    if state.manifest["mode"] == "bytes":
-        raw = data.reshape(-1).astype(np.uint8).tobytes()
-        payload = raw[:state.manifest["payload_len"]]
-        digest = hashlib.sha256(payload).hexdigest()
+    B, ell = state.blocks, spec.ell
+    systematic = use == list(range(1, spec.k + 1))
+    as_bytes = state.manifest["mode"] == "bytes"
+
+    def shard(j):
+        return read_shard(state.shard_path(j), digest=state.shard_digest(j))[1].reshape(B, ell)
+
+    if systematic and as_bytes:  # cast each shard straight to its payload bytes
+        data = np.empty((B, spec.k, ell), dtype=np.uint8)
+        for i, j in enumerate(use):
+            data[:, i] = shard(j)
+    else:
+        data = np.stack([shard(j) for j in use], axis=1)  # (B, k, ell)
+        if not systematic:  # decode the systematic nodes 1..k
+            data = complete_columns(spec, use, data)[:, :spec.k]
+    if as_bytes:
+        payload = data.reshape(-1)[:state.manifest["payload_len"]]
+        payload = payload.astype(np.uint8, copy=False).tobytes()
     else:
         payload = data.astype("<u8").tobytes()
-        digest = _data_digest(data)
-    if digest != state.manifest["digest"]:
+    if _sha256(payload) != state.manifest["digest"]:
         raise CorruptionError("extracted payload digest mismatch")
     return payload

@@ -1,11 +1,15 @@
+import errno
 import hashlib
 import json
+import os
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from msrcodes import storage
+from msrcodes import grs, storage
 from msrcodes.constructions import build
 from msrcodes import audit, repair as repair_mod
 from msrcodes.errors import CorruptionError, DataLossError, ParameterError
@@ -330,3 +334,116 @@ def test_scenario_corollary_sweep(tmp_path):
         state, t = run_repair(state, nodes, list(range(h + 1, h + 1 + d)), (h, d))
         assert audit.verify_transcript(t, state.spec).conforming
         extract(state)
+
+
+def _reference_blob(spec, node: int, elements) -> bytes:
+    """The shard bytes as the codec wrote them before it cast into one buffer."""
+    flat = np.ascontiguousarray(elements, dtype=np.int64).ravel()
+    return storage.HEADER.pack(b"MSR1", 1, node, spec.n, spec.k, 3, flat.size,
+                               spec.field.p) + flat.astype("<u8").tobytes()
+
+
+@pytest.mark.parametrize("case", ["int64", "uint64", "strided", "empty"])
+def test_the_shard_codec_writes_and_reads_the_reference_bytes(case, tmp_path):
+    spec = c3_spec()
+    p = spec.field.p
+    encoded = np.random.default_rng(4).integers(0, p, size=(3, spec.n, spec.ell), dtype=np.int64)
+    encoded[:, :, 0] = p - 1
+    elements = {"int64": np.ascontiguousarray(encoded[:, 1]),
+                "uint64": encoded[:, 1].astype(np.uint64),
+                "strided": encoded[:, 1, :],   # as ingest passes it
+                "empty": np.zeros((0, spec.ell), dtype=np.int64)}[case]
+    assert elements.flags.c_contiguous == (case != "strided")
+    want = _reference_blob(spec, 2, elements)
+    assert storage._shard_blob(spec, 2, elements).tobytes() == want
+    path = tmp_path / "node_02.shard"
+    digest = storage.write_shard(path, spec, 2, elements)
+    assert digest == hashlib.sha256(want).hexdigest()
+    assert path.read_bytes() == want
+
+    node, got = storage.read_shard(path, digest=digest)
+    assert node == 2
+    assert got.dtype == np.int64 and got.flags.aligned and got.flags.writeable
+    assert np.array_equal(got, np.frombuffer(want[HEADER_SIZE:], "<u8").astype(np.int64))
+
+
+@pytest.mark.parametrize("bad", ["negative", "p", "2^63"])
+def test_the_shard_codec_rejects_an_element_outside_the_field(bad, tmp_path):
+    spec = c3_spec()
+    elements = np.zeros((2, spec.ell), dtype=np.uint64 if bad == "2^63" else np.int64)
+    elements[1, 7] = {"negative": -1, "p": spec.field.p, "2^63": 2**63}[bad]
+    with pytest.raises(ParameterError, match=r"element outside \[0, p\)"):
+        storage._shard_blob(spec, 1, elements)
+    with pytest.raises(ParameterError, match=r"element outside \[0, p\)"):
+        storage.write_shard(tmp_path / "node_01.shard", spec, 1, elements)
+    assert not any(tmp_path.iterdir())
+
+
+def test_read_shard_checks_the_digest_before_the_length(tmp_path):
+    state = ingest(bytes(range(200)), c3_spec(), tmp_path / "c")
+    path = state.shard_path(3)
+    path.write_bytes(_flip_element_byte(path.read_bytes())[:-3])
+    with pytest.raises(CorruptionError, match="node_03.shard: shard digest does not match"):
+        storage.read_shard(path, digest=state.shard_digest(3))
+
+
+def _cluster_cycle(root):
+    """Ingest, an h=2 repair and a plain and a decoding extract: (shard
+    files, manifest digests, extracted payloads)."""
+    payload = np.random.default_rng(9).integers(0, 256, 5000, dtype=np.uint8).tobytes()
+    state = ingest(payload, c3_spec(), root)
+    fail_nodes(state, [1, 2])
+    run_repair(state, [1, 2], [3, 4, 5, 6], (2, 4))
+    payloads = [extract(state)]
+    fail_nodes(state, [1])
+    payloads.append(extract(state))
+    files = {j: state.shard_path(j).read_bytes() for j in range(2, 7)}
+    digests = (state.manifest["digest"],
+               {j: state.shard_digest(j) for j in range(1, 7)})
+    return files, digests, payloads, payload
+
+
+def test_storage_is_schedule_independent(monkeypatch, tmp_path):
+    monkeypatch.setattr(grs, "WORKERS", 1)
+    one = _cluster_cycle(tmp_path / "one")
+    monkeypatch.setattr(grs, "WORKERS", 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        three = _cluster_cycle(tmp_path / "three")
+    finally:
+        sys.setswitchinterval(interval)
+    assert one == three
+    assert one[2] == [one[3], one[3]]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_failed_shard_write_reaches_the_caller_and_records_no_digest(workers, monkeypatch,
+                                                                       tmp_path):
+    monkeypatch.setattr(grs, "WORKERS", workers)
+    payload = bytes(range(256)) * 3
+    real = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == "node_02.shard":
+            raise OSError(errno.ENOSPC, "no space left", str(dst))
+        return real(src, dst)
+
+    state = ingest(payload, c3_spec(), tmp_path / "c")
+    fail_nodes(state, [1, 2])
+    monkeypatch.setattr(storage.os, "replace", replace)
+    with pytest.raises(OSError) as raised:
+        ingest(payload, c3_spec(), tmp_path / "d")
+    assert raised.value.errno == errno.ENOSPC
+    assert not (tmp_path / "d" / "manifest.json").exists()
+    assert not (tmp_path / "d" / "shards" / "node_02.shard").exists()
+
+    digests = dict(state.manifest["shards"])
+    with pytest.raises(OSError) as raised:
+        run_repair(state, [1, 2], [3, 4, 5, 6], (2, 4))
+    assert raised.value.errno == errno.ENOSPC
+    monkeypatch.undo()
+    on_disk = load_cluster(tmp_path / "c")
+    assert state.manifest["shards"] == digests == on_disk.manifest["shards"]
+    assert state.failed_nodes() == on_disk.failed_nodes() == [1, 2]
+    assert not state.shard_path(2).exists()
