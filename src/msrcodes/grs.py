@@ -92,11 +92,11 @@ def each(fn, units) -> list:
     plain loop when there is one worker or one unit.  Every unit finishes
     before the first exception raised in one, if any, reaches the caller.
 
-    The kernels run their slice units here, and storage its shard hashes
-    and writes.  Units must write disjoint outputs, must not call each()
-    themselves (a unit waiting on the pool can starve it), and must not call
-    a name that a caller may rebind at run time, as perfbench's tracer does:
-    its records are not thread-safe.
+    The kernels run their slice units here, and storage its shard reads,
+    casts, hashes and writes.  Units must write disjoint outputs, must not
+    call each() themselves (a unit waiting on the pool can starve it), and
+    must not call a name that a caller may rebind at run time, as perfbench's
+    tracer does: its records are not thread-safe.
     """
     units = list(units)
     if WORKERS <= 1 or len(units) <= 1:

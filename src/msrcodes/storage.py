@@ -20,10 +20,16 @@ center reads *only* those transfer files, through an access log, so
 downloaded bytes are exactly transcript count x 8.
 
 A shard file is one buffer: its elements are cast straight into it after the
-header, and its SHA-256 and its write run as two grs.each units (hashlib and
-file writes release the GIL).  A read fills one buffer whose elements start
-8-byte aligned, checks the digest, the header, the length and element < p,
-and returns the elements as an int64 view of that buffer.
+header.  A read fills one buffer whose elements start 8-byte aligned, checks
+the digest, the header, the length and element < p, and returns the elements
+as an int64 view of that buffer.  Shard reads, casts, SHA-256 digests and
+file writes run as grs.each units (numpy, hashlib and file I/O release the
+GIL): ingest hashes each shard while it writes it; run_repair reads its
+helpers in waves of grs.WORKERS, aggregates each wave on the calling thread
+and writes its transfer files as units, then casts and hashes every restored
+shard before any is written; extract reads its k shards in one each call.
+Every buffer is allocated on the calling thread, the access log is written
+there, and the first bad shard in node order is the one named.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import repair as repair_mod
+from . import grs, repair as repair_mod
 from .constructions import (CodeSpec, Family, encode_blocks, complete_columns,
                             manifest_dict, spec_from_manifest)
 from .errors import CorruptionError, DataLossError, ParameterError
@@ -75,10 +81,15 @@ class AccessLog:
 
 
 def _atomic_write(path: Path, payload):
-    """Write a bytes-like payload to a tmp file, then move it over path."""
+    """Write a bytes-like payload to a tmp file, then move it over path; the
+    tmp file is removed if either step raises."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _sha256(blob) -> str:
@@ -97,21 +108,43 @@ def _file_buffer(nbytes: int) -> np.ndarray:
     return raw[pad:pad + nbytes]
 
 
-def _shard_blob(spec: CodeSpec, node: int, elements: np.ndarray) -> np.ndarray:
-    """The exact bytes of node's shard file, as one uint8 buffer: the header,
-    then the elements cast straight into it from any strided int64 or uint64
-    array."""
+def _shard_size(count: int) -> int:
+    """Bytes of a shard file that holds count elements."""
+    return HEADER_SIZE + count * ELEMENT_SIZE
+
+
+def _elements(elements) -> np.ndarray:
+    """elements as an int64 or uint64 array, uncopied when it is one."""
     x = np.asarray(elements)
     if x.dtype != np.int64 and x.dtype != np.uint64:
         x = x.astype(np.int64)
+    return x
+
+
+def _pack(blob: np.ndarray, spec: CodeSpec, node: int, x: np.ndarray) -> np.ndarray:
+    """Fill blob, a _file_buffer of the shard's size, with node's shard file:
+    the header, then the elements of x (int64 or uint64, any strides) cast
+    straight into it."""
     # one pass: read as uint64, a negative int64 lies at or above 2^63 > p
     if x.size and x.view(np.uint64).max() >= spec.field.p:
         raise ParameterError("element outside [0, p)")
-    blob = _file_buffer(HEADER_SIZE + x.size * ELEMENT_SIZE)
     HEADER.pack_into(blob, 0, MAGIC, VERSION, node, spec.n, spec.k,
                      FAMILY_TAGS[spec.family], x.size, spec.field.p)
     blob[HEADER_SIZE:].view("<u8").reshape(x.shape)[...] = x
     return blob
+
+
+def _pack_and_hash(blob: np.ndarray, spec: CodeSpec, node: int, x: np.ndarray) -> str:
+    """_pack, then the SHA-256 hex digest of the filled blob: one each() unit."""
+    return _sha256(_pack(blob, spec, node, x))
+
+
+def _shard_blob(spec: CodeSpec, node: int, elements: np.ndarray) -> np.ndarray:
+    """The exact bytes of node's shard file, as one uint8 buffer: the header,
+    then the elements cast straight into it from any strided int64 or uint64
+    array."""
+    x = _elements(elements)
+    return _pack(_file_buffer(_shard_size(x.size)), spec, node, x)
 
 
 def write_shard(path: Path, spec: CodeSpec, node: int, elements: np.ndarray) -> str:
@@ -123,24 +156,21 @@ def write_shard(path: Path, spec: CodeSpec, node: int, elements: np.ndarray) -> 
     return digest
 
 
-def read_shard(path: Path, log: Optional[AccessLog] = None,
-               digest: Optional[str] = None) -> tuple:
-    """(node, element array); validates magic/version/prime.
+def _read(path: Path, buf: np.ndarray, digest: Optional[str] = None) -> tuple:
+    """(node, element array) of the shard file at path, read with one
+    readinto into buf: a _file_buffer with room for at least one byte more
+    than the file should hold, so that a longer file reads as too long.
 
-    When digest is given (the manifest's SHA-256 of the file) it is checked
-    first, so any damaged, truncated or misplaced shard is rejected by path.
-    The file is read once, into a buffer whose elements start 8-byte aligned,
-    and the elements come back as a writeable int64 view of it.
+    The digest, when given, is checked first, then the magic, version,
+    length and element < p.  The elements come back as a writeable int64
+    view of buf.  Every shard read runs here; it may run as an each() unit.
     """
     try:
         f = open(path, "rb")
     except FileNotFoundError:
         raise CorruptionError(f"{path}: shard file is missing") from None
     with f:
-        buf = _file_buffer(os.fstat(f.fileno()).st_size)
         buf = buf[:f.readinto(buf)]
-    if log is not None:
-        log.record(path, buf.size, "shard")
     if digest is not None and _sha256(buf) != digest:
         raise CorruptionError(f"{path}: shard digest does not match the manifest")
     if buf.size < HEADER_SIZE:
@@ -148,12 +178,37 @@ def read_shard(path: Path, log: Optional[AccessLog] = None,
     magic, version, node, n, k, tag, count, p = HEADER.unpack_from(buf)
     if magic != MAGIC or version != VERSION:
         raise CorruptionError(f"{path}: bad shard magic/version")
-    if buf.size != HEADER_SIZE + count * ELEMENT_SIZE:
+    if buf.size != _shard_size(count):
         raise CorruptionError(f"{path}: element count mismatch")
     raw = buf[HEADER_SIZE:].view("<u8")
     if count and raw.max() >= p:  # on the u64 values: as int64, one >= 2^63 reads negative
         raise CorruptionError(f"{path}: element >= p")
     return node, raw.view("<i8")
+
+
+def _read_into(path: Path, buf: np.ndarray, digest: str, out: np.ndarray):
+    """_read, then the elements cast into out (blocks, ell): one each() unit."""
+    out[...] = _read(path, buf, digest)[1].reshape(out.shape)
+
+
+def read_shard(path: Path, log: Optional[AccessLog] = None,
+               digest: Optional[str] = None) -> tuple:
+    """(node, element array); validates magic/version/prime.
+
+    When digest is given (the manifest's SHA-256 of the file) it is checked
+    first, so any damaged, truncated or misplaced shard is rejected by path.
+    The file is read once, into a buffer whose elements start 8-byte aligned,
+    and the elements come back as a writeable int64 view of it.  A read that
+    passes every check is logged as local I/O.
+    """
+    try:
+        size = os.stat(path).st_size
+    except FileNotFoundError:
+        size = 0   # _read names the missing file
+    node, elements = _read(path, _file_buffer(size + 1), digest)
+    if log is not None:
+        log.record(path, _shard_size(elements.size), "shard")
+    return node, elements
 
 
 def read_elements(path: Path, indices: np.ndarray, log: Optional[AccessLog] = None) -> np.ndarray:
@@ -265,19 +320,6 @@ def fail_nodes(state: ClusterState, nodes: Sequence[int]) -> ClusterState:
     return state
 
 
-def _helper_transfer(state: ClusterState, plan_, helper: int) -> Path:
-    """Helper-side routine: one verified whole-shard read, logged as local I/O
-    ("shard" category), then the plan's payload written to a transfer file."""
-    _, elements = read_shard(state.shard_path(helper), log=state.access_log,
-                             digest=state.shard_digest(helper))
-    payload = repair_mod.helper_aggregate(
-        plan_, helper, elements.reshape(state.blocks, state.spec.ell))
-    tpath = state.root / "transfer" / f"helper_{helper:02d}.payload"
-    # the sums lie in [0, p): their <i8 bytes are the <u8 the center reads
-    _atomic_write(tpath, np.ascontiguousarray(payload.values, dtype="<i8"))
-    return tpath
-
-
 def run_repair(state: ClusterState, failed: Sequence[int], helpers: Sequence[int],
                pattern) -> tuple:
     """Centralized repair: returns (state, transcript).
@@ -297,7 +339,26 @@ def run_repair(state: ClusterState, failed: Sequence[int], helpers: Sequence[int
     spec, B = state.spec, state.blocks
     plan_ = repair_mod.plan(spec, failed, helpers, pattern)
 
-    transfer_paths = {j: _helper_transfer(state, plan_, j) for j in helpers}
+    # helpers: verified whole-shard reads, WORKERS at a time into reused
+    # buffers, logged as local I/O ("shard"); each wave's sums go to its
+    # transfer files
+    bufs = [_file_buffer(_shard_size(B * spec.ell) + 1)
+            for _ in range(min(grs.WORKERS, len(helpers)))]
+    transfer_paths = {}
+    for w in range(0, len(helpers), len(bufs)):
+        wave = helpers[w:w + len(bufs)]
+        paths = [state.shard_path(j) for j in wave]
+        read = each(_read, [(path, buf, state.shard_digest(j))
+                            for path, buf, j in zip(paths, bufs, wave)])
+        writes = []
+        for j, path, (_, elements) in zip(wave, paths, read):
+            state.access_log.record(path, _shard_size(elements.size), "shard")
+            payload = repair_mod.helper_aggregate(plan_, j, elements.reshape(B, spec.ell))
+            transfer_paths[j] = state.root / "transfer" / f"helper_{j:02d}.payload"
+            # the sums lie in [0, p): their <i8 bytes are the <u8 the center reads
+            writes.append((transfer_paths[j],
+                           np.ascontiguousarray(payload.values, dtype="<i8")))
+        each(_atomic_write, writes)
 
     # data center: read transfer files only, through the instrumented log
     center_log = AccessLog()
@@ -318,8 +379,10 @@ def run_repair(state: ClusterState, failed: Sequence[int], helpers: Sequence[int
 
     # verify every restored shard in memory before any of them reaches disk,
     # then write the very blobs that were hashed
-    blobs = [_shard_blob(spec, j, restored[j]) for j in failed]
-    for j, digest in zip(failed, each(_sha256, [(blob,) for blob in blobs])):
+    xs = [_elements(restored[j]) for j in failed]
+    blobs = [_file_buffer(_shard_size(x.size)) for x in xs]
+    digests = each(_pack_and_hash, [(blob, spec, j, x) for blob, j, x in zip(blobs, failed, xs)])
+    for j, digest in zip(failed, digests):
         if digest != state.shard_digest(j):
             raise CorruptionError(f"restored shard for node {j} does not match "
                                   "its pre-failure digest")
@@ -346,17 +409,14 @@ def extract(state: ClusterState) -> bytes:
     systematic = use == list(range(1, spec.k + 1))
     as_bytes = state.manifest["mode"] == "bytes"
 
-    def shard(j):
-        return read_shard(state.shard_path(j), digest=state.shard_digest(j))[1].reshape(B, ell)
-
-    if systematic and as_bytes:  # cast each shard straight to its payload bytes
-        data = np.empty((B, spec.k, ell), dtype=np.uint8)
-        for i, j in enumerate(use):
-            data[:, i] = shard(j)
-    else:
-        data = np.stack([shard(j) for j in use], axis=1)  # (B, k, ell)
-        if not systematic:  # decode the systematic nodes 1..k
-            data = complete_columns(spec, use, data)[:, :spec.k]
+    # one unit per shard casts it into its column: straight to its payload
+    # bytes when shards 1..k hold them as they are
+    data = np.empty((B, spec.k, ell), dtype=np.uint8 if systematic and as_bytes else np.int64)
+    size = _shard_size(B * ell) + 1
+    each(_read_into, [(state.shard_path(j), _file_buffer(size), state.shard_digest(j), data[:, i])
+                      for i, j in enumerate(use)])
+    if not systematic:  # decode the systematic nodes 1..k
+        data = complete_columns(spec, use, data)[:, :spec.k]
     if as_bytes:
         payload = data.reshape(-1)[:state.manifest["payload_len"]]
         payload = payload.astype(np.uint8, copy=False).tobytes()

@@ -180,15 +180,21 @@ def _tracer_bindings():
 
 
 def test_no_traced_name_runs_off_the_main_thread(monkeypatch, tmp_path):
-    """Every name the tracer rebinds asserts that it runs on the main thread,
-    while a cluster ingest, an h=2 repair, a decoding extract and an
-    in-memory c1 repair run their units on three workers."""
+    """Every name the tracer rebinds, and the access log, asserts that it runs
+    on the main thread, while a cluster ingest, an h=2 repair, a decoding
+    extract and an in-memory c1 repair run their units on three workers."""
     monkeypatch.setattr(grs, "WORKERS", 3)
-    for mod, attr in _tracer_bindings():
+    for mod, attr in _tracer_bindings() + [(storage.AccessLog, "record")]:
         def on_main(*args, _fn=getattr(mod, attr), _name=attr, **kwargs):
             assert threading.current_thread() is threading.main_thread(), _name
             return _fn(*args, **kwargs)
         monkeypatch.setattr(mod, attr, on_main)
+    shard_threads = set()   # threads that ran a shard read or hash
+    for attr in ("_read", "_sha256"):
+        def seen_shard(*args, _fn=getattr(storage, attr)):
+            shard_threads.add(threading.current_thread())
+            return _fn(*args)
+        monkeypatch.setattr(storage, attr, seen_shard)
     unit_threads = set()   # threads that ran a unit's arithmetic
     for mod, attr in ((constructions, "apply_operator"), (repair, "apply_operator"),
                       (repair, "mod_p")):
@@ -210,3 +216,4 @@ def test_no_traced_name_runs_off_the_main_thread(monkeypatch, tmp_path):
         pl, [repair.helper_aggregate(pl, j, encoded[:, j - 1]) for j in pl.helpers])
     assert np.array_equal(restored[4], encoded[:, 3])
     assert any(t is not threading.main_thread() for t in unit_threads)
+    assert any(t is not threading.main_thread() for t in shard_threads)

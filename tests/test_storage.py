@@ -206,19 +206,21 @@ def test_extract_names_a_missing_shard(tmp_path):
 
 
 def test_extract_reads_the_systematic_shards_without_decoding(tmp_path, monkeypatch):
+    # one worker, so that the shard reads, each() units, run in unit order
+    monkeypatch.setattr(grs, "WORKERS", 1)
     payload = bytes(range(256)) * 3
     state = ingest(payload, c3_spec(), tmp_path / "c")
     read = []
-    real_read = storage.read_shard
+    real_read = storage._read
 
-    def read_shard(path, log=None, digest=None):
+    def _read(path, buf, digest=None):
         read.append((path.name, digest))
-        return real_read(path, log=log, digest=digest)
+        return real_read(path, buf, digest)
 
     def complete_columns(*args):
         raise AssertionError("extract decoded with every systematic shard alive")
 
-    monkeypatch.setattr(storage, "read_shard", read_shard)
+    monkeypatch.setattr(storage, "_read", _read)
     monkeypatch.setattr(storage, "complete_columns", complete_columns)
     assert extract(state) == payload
     assert read == [("node_01.shard", state.shard_digest(1)),
@@ -437,6 +439,7 @@ def test_a_failed_shard_write_reaches_the_caller_and_records_no_digest(workers, 
     assert raised.value.errno == errno.ENOSPC
     assert not (tmp_path / "d" / "manifest.json").exists()
     assert not (tmp_path / "d" / "shards" / "node_02.shard").exists()
+    assert list((tmp_path / "d").rglob("*.tmp")) == []
 
     digests = dict(state.manifest["shards"])
     with pytest.raises(OSError) as raised:
@@ -447,3 +450,53 @@ def test_a_failed_shard_write_reaches_the_caller_and_records_no_digest(workers, 
     assert state.manifest["shards"] == digests == on_disk.manifest["shards"]
     assert state.failed_nodes() == on_disk.failed_nodes() == [1, 2]
     assert not state.shard_path(2).exists()
+    assert list((tmp_path / "c").rglob("*.tmp")) == []
+
+
+@pytest.fixture(params=[1, 3], ids=["1-worker", "3-workers"])
+def workers(request, monkeypatch):
+    """grs.WORKERS at 1, then at 3 with a short switch interval, so that the
+    shard units interleave."""
+    monkeypatch.setattr(grs, "WORKERS", request.param)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield request.param
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_repair_names_the_first_of_two_damaged_helpers(workers, tmp_path):
+    state = ingest(bytes(range(200)) * 3, c3_spec(), tmp_path / "c")
+    fail_nodes(state, [1, 2])
+    for j in (3, 5):
+        path = state.shard_path(j)
+        path.write_bytes(_flip_element_byte(path.read_bytes()))
+    with pytest.raises(CorruptionError, match="node_03.shard"):
+        run_repair(state, [1, 2], [3, 4, 5, 6], (2, 4))
+    on_disk = load_cluster(tmp_path / "c")
+    for j in (1, 2):
+        assert not state.shard_path(j).exists()
+        assert state.status(j) == "FAILED" and on_disk.status(j) == "FAILED"
+
+
+def test_extract_names_the_first_of_two_corrupt_shards(workers, tmp_path):
+    state = ingest(bytes(range(200)), c3_spec(), tmp_path / "c")
+    for j in (1, 2):
+        path = state.shard_path(j)
+        path.write_bytes(_flip_element_byte(path.read_bytes()))
+    with pytest.raises(CorruptionError, match="node_01.shard"):
+        extract(state)
+
+
+def test_repair_logs_each_helper_read_once(workers, tmp_path):
+    payload = bytes(range(256)) * 5
+    state = ingest(payload, c3_spec(), tmp_path / "c")
+    fail_nodes(state, [1, 2])
+    helpers = [3, 4, 5, 6]
+    run_repair(state, [1, 2], helpers, (2, 4))
+    size = state.shard_path(3).stat().st_size
+    assert state.access_log.total("shard") == len(helpers) * size
+    assert {path: n for path, n in state.access_log.by_path.items()
+            if path.endswith(".shard")} == {str(state.shard_path(j)): size for j in helpers}
+    assert extract(state) == payload
