@@ -98,9 +98,6 @@ def cmd_params(args) -> tuple:
 
 def cmd_encode(args) -> tuple:
     seed = _seed(args)
-    if args.blocks is not None and (args.payload or args.random_bytes is not None):
-        raise ParameterError("--blocks applies only to synthetic symbols, "
-                             "not with --payload or --random-bytes")
     payload = None
     if args.payload:
         payload = Path(args.payload).read_bytes()
@@ -278,10 +275,11 @@ def make_parser() -> _Parser:
 
     sp = command("encode", cmd_encode, "ingest a payload into a cluster directory",
                  spec, cluster, seed)
-    sp.add_argument("--payload", type=Path, default=None)
-    sp.add_argument("--random-bytes", type=int, default=None)
-    sp.add_argument("--blocks", type=int, default=None,
-                    help="synthetic-symbol block count (default 1); not with a payload")
+    source = sp.add_mutually_exclusive_group()
+    source.add_argument("--payload", type=Path, default=None)
+    source.add_argument("--random-bytes", type=int, default=None)
+    source.add_argument("--blocks", type=int, default=None,
+                        help="synthetic-symbol block count (default 1)")
 
     sp = command("fail", cmd_fail, "erase node shards", cluster)
     sp.add_argument("--nodes", type=str, required=True)

@@ -13,11 +13,13 @@ Shard file layout (little-endian, all offsets fixed):
     elements           u64 each, value < p
 
 Elements are stored block-major: element index b*ell + tau holds symbol tau of
-block b.  During repair each helper reads its whole shard once, checked
+block b.  In memory an element is int64; only _pack and _read spell the u64
+of the file.  During repair each helper reads its whole shard once, checked
 against the manifest digest (logged as local I/O), and writes the plan's
-per-group sums from repair.helper_aggregate to a transfer file; the data
-center reads *only* those transfer files, through an access log, so
-downloaded bytes are exactly transcript count x 8.
+per-group sums from repair.helper_aggregate, as int64, to a transfer file;
+the data center reads *only* those transfer files, through an access log, so
+downloaded bytes are exactly transcript count x 8, and reads each back as
+int64, with no copy.
 
 A shard file is one buffer: its elements are cast straight into it after the
 header.  A read fills one buffer whose elements start 8-byte aligned, checks
@@ -113,18 +115,10 @@ def _shard_size(count: int) -> int:
     return HEADER_SIZE + count * ELEMENT_SIZE
 
 
-def _elements(elements) -> np.ndarray:
-    """elements as an int64 or uint64 array, uncopied when it is one."""
-    x = np.asarray(elements)
-    if x.dtype != np.int64 and x.dtype != np.uint64:
-        x = x.astype(np.int64)
-    return x
-
-
 def _pack(blob: np.ndarray, spec: CodeSpec, node: int, x: np.ndarray) -> np.ndarray:
     """Fill blob, a _file_buffer of the shard's size, with node's shard file:
-    the header, then the elements of x (int64 or uint64, any strides) cast
-    straight into it."""
+    the header, then the elements of x (int64, any strides) cast straight
+    into it."""
     # one pass: read as uint64, a negative int64 lies at or above 2^63 > p
     if x.size and x.view(np.uint64).max() >= spec.field.p:
         raise ParameterError("element outside [0, p)")
@@ -139,19 +133,13 @@ def _pack_and_hash(blob: np.ndarray, spec: CodeSpec, node: int, x: np.ndarray) -
     return _sha256(_pack(blob, spec, node, x))
 
 
-def _shard_blob(spec: CodeSpec, node: int, elements: np.ndarray) -> np.ndarray:
-    """The exact bytes of node's shard file, as one uint8 buffer: the header,
-    then the elements cast straight into it from any strided int64 or uint64
-    array."""
-    x = _elements(elements)
-    return _pack(_file_buffer(_shard_size(x.size)), spec, node, x)
-
-
 def write_shard(path: Path, spec: CodeSpec, node: int, elements: np.ndarray) -> str:
     """Write one node's elements; returns the file's SHA-256 hex digest, which
     is computed while the file is written (two each() units).  Ingest writes
-    through here; run_repair writes its verified blobs itself."""
-    blob = _shard_blob(spec, node, elements)
+    through here; run_repair writes its verified blobs itself.  elements may
+    have any integer dtype and strides; it is copied only to become int64."""
+    x = np.asarray(elements).astype(np.int64, copy=False)
+    blob = _pack(_file_buffer(_shard_size(x.size)), spec, node, x)
     digest, _ = each(_run, [(_sha256, blob), (_atomic_write, path, blob)])
     return digest
 
@@ -191,29 +179,24 @@ def _read_into(path: Path, buf: np.ndarray, digest: str, out: np.ndarray):
     out[...] = _read(path, buf, digest)[1].reshape(out.shape)
 
 
-def read_shard(path: Path, log: Optional[AccessLog] = None,
-               digest: Optional[str] = None) -> tuple:
+def read_shard(path: Path, digest: Optional[str] = None) -> tuple:
     """(node, element array); validates magic/version/prime.
 
     When digest is given (the manifest's SHA-256 of the file) it is checked
     first, so any damaged, truncated or misplaced shard is rejected by path.
     The file is read once, into a buffer whose elements start 8-byte aligned,
-    and the elements come back as a writeable int64 view of it.  A read that
-    passes every check is logged as local I/O.
+    and the elements come back as a writeable int64 view of it.
     """
     try:
         size = os.stat(path).st_size
     except FileNotFoundError:
         size = 0   # _read names the missing file
-    node, elements = _read(path, _file_buffer(size + 1), digest)
-    if log is not None:
-        log.record(path, _shard_size(elements.size), "shard")
-    return node, elements
+    return _read(path, _file_buffer(size + 1), digest)
 
 
-def read_elements(path: Path, indices: np.ndarray, log: Optional[AccessLog] = None) -> np.ndarray:
+def read_elements(path: Path, indices: np.ndarray) -> np.ndarray:
     """The elements at the given indices, gathered from one whole-shard read."""
-    return read_shard(path, log=log)[1][np.asarray(indices)]
+    return read_shard(path)[1][np.asarray(indices)]
 
 
 @dataclass
@@ -355,19 +338,19 @@ def run_repair(state: ClusterState, failed: Sequence[int], helpers: Sequence[int
             state.access_log.record(path, _shard_size(elements.size), "shard")
             payload = repair_mod.helper_aggregate(plan_, j, elements.reshape(B, spec.ell))
             transfer_paths[j] = state.root / "transfer" / f"helper_{j:02d}.payload"
-            # the sums lie in [0, p): their <i8 bytes are the <u8 the center reads
             writes.append((transfer_paths[j],
                            np.ascontiguousarray(payload.values, dtype="<i8")))
         each(_atomic_write, writes)
 
-    # data center: read transfer files only, through the instrumented log
+    # data center: read transfer files only, through the instrumented log,
+    # as the <i8 their helpers wrote: each payload enters the solve uncopied
     center_log = AccessLog()
     payloads = []
     for j in helpers:
         blob = transfer_paths[j].read_bytes()
         center_log.record(transfer_paths[j], len(blob), "download")
         payloads.append(repair_mod.HelperPayload(
-            j, np.frombuffer(blob, "<u8").reshape(B, plan_.per_helper)))
+            j, np.frombuffer(blob, "<i8").reshape(B, plan_.per_helper)))
     restored, transcript = repair_mod.center_repair(plan_, payloads)  # {node: (B, ell)}
     downloaded = center_log.total("download")
     if downloaded != transcript.total * ELEMENT_SIZE:
@@ -379,9 +362,9 @@ def run_repair(state: ClusterState, failed: Sequence[int], helpers: Sequence[int
 
     # verify every restored shard in memory before any of them reaches disk,
     # then write the very blobs that were hashed
-    xs = [_elements(restored[j]) for j in failed]
-    blobs = [_file_buffer(_shard_size(x.size)) for x in xs]
-    digests = each(_pack_and_hash, [(blob, spec, j, x) for blob, j, x in zip(blobs, failed, xs)])
+    blobs = [_file_buffer(_shard_size(restored[j].size)) for j in failed]
+    digests = each(_pack_and_hash, [(blob, spec, j, restored[j])
+                                    for blob, j in zip(blobs, failed)])
     for j, digest in zip(failed, digests):
         if digest != state.shard_digest(j):
             raise CorruptionError(f"restored shard for node {j} does not match "
@@ -421,7 +404,7 @@ def extract(state: ClusterState) -> bytes:
         payload = data.reshape(-1)[:state.manifest["payload_len"]]
         payload = payload.astype(np.uint8, copy=False).tobytes()
     else:
-        payload = data.astype("<u8").tobytes()
+        payload = data.astype("<i8", copy=False).tobytes()
     if _sha256(payload) != state.manifest["digest"]:
         raise CorruptionError("extracted payload digest mismatch")
     return payload

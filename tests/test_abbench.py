@@ -58,9 +58,11 @@ def test_gain_needs_nine_tenths_of_the_pairs():
 
 
 def test_gain_needs_a_gap_wider_than_the_parents_iqr():
-    parent = [4.0, 6.0] * 5             # IQR 2.0
-    assert _repair(parent, [p + 0.5 for p in parent])["verdict"] == "no change"
+    parent = [4.0, 6.0] * 5             # IQR 2.0, wider than the bound (1.25)
+    assert _repair(parent, [p + 0.5 for p in parent])["verdict"] == "unresolved"
     assert _repair(parent, [p + 3.0 for p in parent])["verdict"] == "gain"
+    parent = [4.5, 5.5] * 5             # IQR 1.0, within the bound
+    assert _repair(parent, [p + 0.5 for p in parent])["verdict"] == "no change"
 
 
 def test_regression_beyond_the_bound_and_loss_within_it():
@@ -79,3 +81,46 @@ def test_a_pair_with_a_missing_side_is_left_out():
     assert entry["metrics"]["repair_mibps"]["pairs"] == 9
     assert entry["change"] == {"runs": 10, "failed_ops": 0, "all_correct": False}
     assert abbench.metric_stats([], "higher", 0.25)["verdict"] == "no data"
+
+
+def test_a_gain_counts_the_pairs_a_side_is_missing_from():
+    runs = _runs([5.0] * 10, [8.0] * 10)
+    for r in runs[-4:]:                 # both runs of the last two pairs reported no metrics
+        r["result"] = {"correct": True, "failed": 0, "metrics": {}}
+    st = abbench.summarize(runs, E2E)["w"]["metrics"]["repair_mibps"]
+    assert st["pairs"] == 8 and st["pairs_run"] == 10 and st["pairs_change_better"] == 8
+    assert st["verdict"] == "no change"  # 8/10, where 8/8 of the complete pairs was a gain
+    assert abbench.metric_stats([(5.0, 8.0)] * 8, "higher", 0.25)["verdict"] == "gain"
+
+
+def test_no_gain_when_the_change_side_fails_more():
+    runs = _runs([5.0] * 10, [8.0] * 10)
+    assert abbench.summarize(runs, E2E)["w"]["metrics"]["repair_mibps"]["verdict"] == "gain"
+    runs[-1]["result"]["failed"] = 1    # a change run with a failed op
+    entry = abbench.summarize(runs, E2E)["w"]
+    assert entry["gain_blocked"] and entry["metrics"]["repair_mibps"]["verdict"] == "unresolved"
+
+    runs = _runs([5.0] * 10 + [5.0], [8.0] * 10 + [8.0])
+    runs[-1]["result"] = None           # the eleventh pair's change run crashed
+    entry = abbench.summarize(runs, E2E)["w"]
+    st = entry["metrics"]["repair_mibps"]
+    assert st["pairs_change_better"] == 10 and st["pairs_run"] == 11   # 10/11 is enough
+    assert entry["gain_blocked"] and st["verdict"] == "unresolved"
+
+    runs[-2]["result"] = None           # the parent crashed as often: no longer blocked
+    entry = abbench.summarize(runs, E2E)["w"]
+    assert not entry["gain_blocked"] and entry["metrics"]["repair_mibps"]["verdict"] == "gain"
+
+
+def test_a_parent_iqr_wider_than_the_bound_is_unresolved():
+    parent = [8.0, 12.0] * 5            # IQR 4.0, wider than the bound (2.5)
+    assert _repair(parent, [p + 1.0 for p in parent])["verdict"] == "unresolved"
+    assert _repair(parent, [p - 1.0 for p in parent])["verdict"] == "unresolved"
+    # every change run beats every parent run: resolved, and a gain
+    assert _repair(parent, [12.5] * 10)["verdict"] == "no change"  # gap 2.5 < IQR
+    assert _repair(parent, [15.0] * 10)["verdict"] == "gain"
+    # lower is better: every change run below every parent run
+    st = abbench.metric_stats([(p, 5.0) for p in parent], "lower", 0.25)
+    assert st["change_beats_every_parent_run"] and st["verdict"] == "gain"
+    # a regression beyond the bound still reads as one
+    assert _repair(parent, [p * 0.5 for p in parent])["verdict"] == "regression"

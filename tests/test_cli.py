@@ -88,6 +88,17 @@ def test_encode_blocks_with_a_payload_exits_1(tmp_path, capsys):
         assert not cluster.exists()
 
 
+def test_encode_payload_with_random_bytes_exits_1(tmp_path, capsys):
+    payload = tmp_path / "p.bin"
+    payload.write_bytes(b"0123456789")
+    cluster = tmp_path / "cl"
+    code, out, err = run(capsys, "encode", "--family", "c3", "--n", "6", "--k", "2",
+                         "--h", "2", "--d", "4", "--cluster", str(cluster),
+                         "--payload", str(payload), "--random-bytes", "10")
+    assert code == 1 and out == "" and "--random-bytes" in err and "--payload" in err
+    assert not cluster.exists()
+
+
 def test_encode_random_bytes_zero_is_an_empty_payload(tmp_path, capsys):
     code, out, _ = run(capsys, "encode", "--family", "c3", "--n", "6", "--k", "2",
                        "--h", "2", "--d", "4", "--cluster", str(tmp_path / "cl"),

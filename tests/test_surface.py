@@ -15,6 +15,7 @@ REMOVED = [
     (grs, ("slices", "block_slices")),
     (constructions, ("erasure_inputs", "operator_table")),
     (repair, ("_split",)),
+    (storage, ("_shard_blob", "_elements")),
 ]
 
 

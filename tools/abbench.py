@@ -55,10 +55,15 @@ def _value(run, name: str):
 
 
 def verdict(stats: dict, better: str, bound: float) -> str:
-    """'regression' when the change's median is worse than the parent's by
-    more than the metric's bound; 'gain' ('loss') when the change is better
-    (worse) in at least GAIN_SHARE of the pairs and the medians differ by more
-    than the parent's IQR; else 'no change'."""
+    """In order: 'no data' without a complete pair; 'regression' when the
+    change's median is worse than the parent's by more than the metric's
+    bound; 'unresolved' when the parent's IQR is wider than the bound, unless
+    every change run beats every parent run; 'gain' when the change is better
+    in at least GAIN_SHARE of all pairs run (a pair missing a side counts
+    against it) and the medians differ by more than the parent's IQR, but
+    'unresolved' when the change side has more failed ops or more runs
+    without a result than the parent; 'loss' when the change is worse in
+    GAIN_SHARE of the complete pairs by such a gap; else 'no change'."""
     pairs = stats["pairs"]
     if not pairs:
         return "no data"
@@ -66,17 +71,25 @@ def verdict(stats: dict, better: str, bound: float) -> str:
     gap = sign * (stats["change_median"] - stats["parent_median"])
     if gap < -bound * abs(stats["parent_median"]):
         return "regression"
-    if stats["pairs_change_better"] >= GAIN_SHARE * pairs and gap > stats["parent_iqr"]:
-        return "gain"
+    if (stats["parent_iqr"] > bound * abs(stats["parent_median"])
+            and not stats["change_beats_every_parent_run"]):
+        return "unresolved"
+    if stats["pairs_change_better"] >= GAIN_SHARE * stats["pairs_run"] and gap > stats["parent_iqr"]:
+        return "unresolved" if stats["gain_blocked"] else "gain"
     if stats["pairs_change_worse"] >= GAIN_SHARE * pairs and -gap > stats["parent_iqr"]:
         return "loss"
     return "no change"
 
 
-def metric_stats(pairs, better: str, bound: float) -> dict:
-    """Summary of one metric over (parent, change) value pairs."""
+def metric_stats(pairs, better: str, bound: float, pairs_run=None,
+                 gain_blocked: bool = False) -> dict:
+    """Summary of one metric over (parent, change) value pairs.  pairs_run
+    (default len(pairs)) also counts the pairs that lack a side's value;
+    gain_blocked is set when the change side failed more (see summarize)."""
     sign = 1 if better == "higher" else -1
-    stats = {"better": better, "bound": bound, "pairs": len(pairs)}
+    stats = {"better": better, "bound": bound, "pairs": len(pairs),
+             "pairs_run": len(pairs) if pairs_run is None else pairs_run,
+             "gain_blocked": gain_blocked}
     if pairs:
         for i, side in enumerate(SIDES):
             vals = [pr[i] for pr in pairs]
@@ -87,14 +100,18 @@ def metric_stats(pairs, better: str, bound: float) -> dict:
                                        if stats["parent_median"] else None)
         stats["pairs_change_better"] = sum(sign * (c - p) > 0 for p, c in pairs)
         stats["pairs_change_worse"] = sum(sign * (c - p) < 0 for p, c in pairs)
+        stats["change_beats_every_parent_run"] = (min(sign * c for _, c in pairs)
+                                                  > max(sign * p for p, _ in pairs))
     stats["verdict"] = verdict(stats, better, bound)
     return stats
 
 
 def summarize(runs, end_to_end) -> dict:
     """Per workload: run health and metric_stats for every end-to-end metric
-    (end_to_end: BENCHMARK.json's list).  A pair counts for a metric when
-    both of its runs report a value."""
+    (end_to_end: BENCHMARK.json's list).  A pair's values count for a metric
+    when both of its runs report one; every pair run counts toward a gain.
+    No metric reads 'gain' when the change side has more failed ops, or more
+    runs without a result, than the parent ('gain_blocked')."""
     by_key = {(r["seed"], r["pair"], r["workload"], r["side"]): r for r in runs}
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -105,6 +122,10 @@ def summarize(runs, end_to_end) -> dict:
                         "all_correct": all((r["result"] or {}).get("correct") is True
                                            for r in mine if r["side"] == side)}
                  for side in SIDES}
+        no_result = {side: sum(not r["result"] for r in mine if r["side"] == side)
+                     for side in SIDES}
+        entry["gain_blocked"] = (entry["change"]["failed_ops"] > entry["parent"]["failed_ops"]
+                                 or no_result["change"] > no_result["parent"])
         entry["metrics"] = {}
         keys = sorted({(r["seed"], r["pair"]) for r in mine})
         for m in end_to_end:
@@ -114,7 +135,8 @@ def summarize(runs, end_to_end) -> dict:
                         for side in SIDES]
                 if None not in vals:
                     pairs.append(tuple(vals))
-            entry["metrics"][m["name"]] = metric_stats(pairs, m["better"], m["bound"])
+            entry["metrics"][m["name"]] = metric_stats(pairs, m["better"], m["bound"],
+                                                       len(keys), entry["gain_blocked"])
         out[workload] = entry
     return out
 
@@ -218,7 +240,7 @@ def main(argv=None) -> int:
     for workload, entry in report["summary"].items():
         for name, st in entry["metrics"].items():
             print(f"{workload:22s} {name:34s} {st.get('change_over_parent')!s:>8s} "
-                  f"won {st.get('pairs_change_better')}/{st['pairs']} {st['verdict']}")
+                  f"won {st.get('pairs_change_better')}/{st['pairs_run']} {st['verdict']}")
     print(f"wrote {out.relative_to(ROOT)}")
     return 0
 
