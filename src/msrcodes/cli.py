@@ -44,7 +44,9 @@ def _seed(args) -> int:
 
 
 def _parse_pattern_args(args) -> list:
-    if args.patterns:
+    if args.patterns is not None:
+        if args.h is not None or args.d is not None:
+            raise ParameterError("--patterns excludes --h and --d")
         pairs = [entry.split(":") for entry in args.patterns.split(",")]
         for pair in pairs:
             if len(pair) != 2 or not all(x.strip().isdecimal() for x in pair):

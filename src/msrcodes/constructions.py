@@ -66,7 +66,8 @@ class PatternInfo:
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """A validated code; only build() derives its fields, by the rule above."""
+    """A validated code; only build() derives its fields, by the rule above.
+    Its points (i-1)*s_m + j + 1 (LAMBDA_RULE) are 1..n*s_m: distinct, nonzero as p > n*s_m."""
 
     family: Family
     n: int
@@ -78,14 +79,19 @@ class CodeSpec:
     s: int
     ell: int
     field: PrimeField
-    lam: tuple                 # n rows of s_m distinct nonzero evaluation points
 
     @property
     def coords(self) -> CoordinateSystem:
         return CoordinateSystem(self.s_m, self.n)
 
+    @property
+    def lam(self) -> tuple:
+        return tuple(map(tuple, self.lam_array().tolist()))
+
     def lam_array(self) -> np.ndarray:
-        return np.array(self.lam, dtype=np.int64)
+        """LAMBDA_RULE as an (n, s_m) int64 table, lam[i-1, j] = (i-1)*s_m + j + 1:
+        1..n*s_m row by row, so distinct, and nonzero residues as p > n*s_m."""
+        return np.arange(1, self.n * self.s_m + 1, dtype=np.int64).reshape(self.n, self.s_m)
 
     def pattern_info(self, h: int, d: int) -> PatternInfo:
         """The info of a supported pattern; raises otherwise."""
@@ -93,16 +99,6 @@ class CodeSpec:
             if info.h == h and info.d == d:
                 return info
         raise ParameterError(f"pattern (h={h}, d={d}) not supported by this spec")
-
-
-def assign_lambda(n: int, s_m: int, field: PrimeField) -> tuple:
-    """Default evaluation-point table: lambda_{i,j} = (i-1)*s_m + j + 1.
-
-    Needs p >= s_m*n + 1 so all entries are distinct and nonzero.
-    """
-    if field.p < s_m * n + 1:
-        raise ParameterError(f"field GF({field.p}) too small for {s_m * n} distinct nonzero points")
-    return tuple(tuple((i - 1) * s_m + j + 1 for j in range(s_m)) for i in range(1, n + 1))
 
 
 def _pattern_info(family: Family, n: int, k: int, h: int, d: int) -> PatternInfo:
@@ -164,14 +160,9 @@ def build(family, n: int, k: int, patterns,
         p = int(prime)
         if p < floor:
             raise ParameterError(f"prime {p} below required floor {floor}")
-    fld = PrimeField(p)
-    lam = assign_lambda(n, s_m, fld)
-    flat = [v for row in lam for v in row]
-    assert len(set(flat)) == len(flat) and 0 not in flat
-
     return CodeSpec(family=family, n=n, k=k, r=n - k,
                     patterns=tuple(pats), sorted_patterns=tuple(infos),
-                    s_m=s_m, s=s, ell=ell, field=fld, lam=lam)
+                    s_m=s_m, s=s, ell=ell, field=PrimeField(p))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +206,7 @@ def erasure_table(spec: CodeSpec, slot_nodes: Sequence[int], known_nodes: Sequen
     one contiguous row that erasure_operator reads with a 1-D take.  Rows
     that repeat a point, which no word has, borrow a valid row's points."""
     s_m, e, lam = spec.s_m, len(slot_nodes), spec.lam_array()
-    digits = np.arange(s_m**e)[:, None] // s_m ** np.arange(e) % s_m
+    digits = CoordinateSystem(s_m, e).digit_table().T
     points = lam[np.asarray(slot_nodes) - 1, digits]
     ordered = np.sort(points, axis=1)
     repeats = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)

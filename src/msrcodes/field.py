@@ -74,13 +74,9 @@ class PrimeField:
 
     def inv(self, x):
         """Multiplicative inverse via x^(p-2); raises on zero input."""
-        if isinstance(x, np.ndarray):
-            if np.any(x % self.p == 0):
-                raise ZeroDivisionError("inverse of zero in GF(%d)" % self.p)
-            return self.pow(x, self.p - 2)
-        if x % self.p == 0:
+        if np.any(np.asarray(x) % self.p == 0):
             raise ZeroDivisionError("inverse of zero in GF(%d)" % self.p)
-        return pow(x, self.p - 2, self.p)
+        return self.pow(x, self.p - 2)
 
     def pow(self, x, e: int):
         """x^e with 0^0 = 1.  e is a non-negative Python int."""

@@ -10,9 +10,10 @@ This module is the one home of the digit arithmetic.  Every per-symbol path
 reads digits from CoordinateSystem.digit_table, a uint8 table of every a's
 digits built without a division: the encoder's and decoder's planes slice
 it, the repair plan's shifts (shift_digits) and the center's groups gather
-from it.  A group's columns tau = b * a_count + a index it with
-np.take(..., mode="wrap"), which takes b * a_count off tau by subtraction
-(b < s).  digit divides and serves scalar use; digits expands one index.
+from it, and erasure_table takes its rows' digit tuples from its transpose.
+A group's columns tau = b * a_count + a index it with np.take(...,
+mode="wrap"), which takes b * a_count off tau by subtraction (b < s).
+digit divides and serves scalar use; digits expands one index.
 """
 
 from __future__ import annotations

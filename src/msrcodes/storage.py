@@ -49,7 +49,7 @@ import numpy as np
 
 from . import grs, repair as repair_mod
 from .constructions import (CodeSpec, Family, encode_blocks, complete_columns,
-                            manifest_dict, spec_from_manifest)
+                            manifest_dict, random_data, spec_from_manifest)
 from .errors import CorruptionError, DataLossError, ParameterError
 from .grs import each
 
@@ -240,6 +240,8 @@ def ingest(payload: Optional[bytes], spec: CodeSpec, root,
     root = Path(root)
     block_syms = spec.k * spec.ell
     if payload is not None:
+        if blocks != 1:
+            raise ParameterError(f"a payload sets its own block count, got blocks={blocks}")
         if spec.field.p < 257:
             raise ParameterError(
                 f"byte payloads need p >= 257, spec has p={spec.field.p} "
@@ -253,10 +255,8 @@ def ingest(payload: Optional[bytes], spec: CodeSpec, root,
     else:
         if blocks < 1:
             raise ParameterError(f"blocks must be at least 1, got {blocks}")
-        rng = np.random.default_rng(seed)
         nblocks = blocks
-        data = rng.integers(0, spec.field.p, size=(nblocks, spec.k, spec.ell),
-                            dtype=np.int64)
+        data = random_data(spec, np.random.default_rng(seed), nblocks)
         digest = _sha256(data.astype("<i8", copy=False))  # the symbols' <u8 bytes
         mode, padding, payload_len = "symbols", 0, nblocks * block_syms
 

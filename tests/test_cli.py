@@ -32,6 +32,13 @@ def test_params_invalid_exits_1(capsys):
     assert code == 1 and "n-h" in err
 
 
+def test_params_patterns_with_h_or_d_exits_1(capsys):
+    for hd in (["--h", "1", "--d", "3"], ["--h", "2"], ["--d", "4"]):
+        code, out, err = run(capsys, "params", "--family", "c3", "--n", "6", "--k", "2",
+                             *hd, "--patterns", "2:4")
+        assert code == 1 and out == "" and "--patterns excludes --h and --d" in err
+
+
 def test_params_json(capsys):
     code, out, _ = run(capsys, "params", "--family", "c2", "--n", "6", "--k", "2",
                        "--patterns", "1:3,1:4,1:5,2:4", "--json")
@@ -97,6 +104,15 @@ def test_encode_payload_with_random_bytes_exits_1(tmp_path, capsys):
                          "--payload", str(payload), "--random-bytes", "10")
     assert code == 1 and out == "" and "--random-bytes" in err and "--payload" in err
     assert not cluster.exists()
+
+
+def test_encode_patterns_with_h_and_d_exits_1(tmp_path, capsys):
+    cluster = tmp_path / "cl"
+    code, out, err = run(capsys, "encode", "--family", "c3", "--n", "6", "--k", "2",
+                         "--h", "1", "--d", "3", "--patterns", "2:4",
+                         "--cluster", str(cluster), "--random-bytes", "10")
+    assert code == 1 and out == "" and "--patterns" in err
+    assert not (cluster / "manifest.json").exists()
 
 
 def test_encode_random_bytes_zero_is_an_empty_payload(tmp_path, capsys):
@@ -190,7 +206,7 @@ def test_unreadable_input_path_exits_1(tmp_path, capsys):
         assert str(cluster) in err
 
 
-@pytest.mark.parametrize("patterns, entry", [("1:3,2", "'2'"), ("1:3:4", "'1:3:4'"),
+@pytest.mark.parametrize("patterns, entry", [("", "''"), ("1:3,2", "'2'"), ("1:3:4", "'1:3:4'"),
                                               ("1:x", "'1:x'"), ("1:\u00b2", "'1:\u00b2'")])
 def test_malformed_patterns_are_named(patterns, entry, capsys):
     code, out, err = run(capsys, "params", "--family", "c2", "--n", "6", "--k", "2",

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from msrcodes import audit
-from msrcodes.constructions import (assign_lambda, build, encode,
+from msrcodes.constructions import (build, encode,
                                     encode_blocks, erasure_operator,
                                     manifest_dict, mds_reconstruct,
                                     random_data,
                                     spec_from_manifest, verify_planes)
 from msrcodes.errors import ParameterError
-from msrcodes.field import PrimeField
 from msrcodes.repair import plan
 
 
@@ -130,10 +129,16 @@ def test_build_accepts_exactly_the_documented_constraints():
                 ["c1", "c2", "c3", "c4", "hadamard"], range(n + 1), singles + pairs):
             want = _documented_ell(family, n, k, pats)
             try:
-                got = build(family, n, k, pats).ell
+                spec = build(family, n, k, pats)
             except ParameterError:
-                got = None
+                spec = None
+            got = None if spec is None else spec.ell
             assert got == want, (family, n, k, pats)
+            if spec is not None:
+                lam = spec.lam_array()
+                assert lam.shape == (n, spec.s_m)
+                assert len(np.unique(lam)) == lam.size
+                assert 1 <= lam.min() and lam.max() < spec.field.p
             calls += 1
             accepted += got is not None
     assert calls == 35880 and accepted == 469
@@ -148,15 +153,12 @@ def test_explicit_prime_validated():
         build("c3", 6, 2, [(2, 4)], prime=15)  # not prime
 
 
-def test_assign_lambda_examples():
-    assert assign_lambda(3, 2, PrimeField(7)) == ((1, 2), (3, 4), (5, 6))
-    assert assign_lambda(1, 1, PrimeField(2)) == ((1,),)
-    lam = assign_lambda(4, 3, PrimeField(13))
-    assert lam[3][2] == 12  # (4-1)*3 + 2 + 1
-    flat = [v for row in lam for v in row]
-    assert len(set(flat)) == 12 and 0 not in flat
-    with pytest.raises(ParameterError):
-        assign_lambda(4, 3, PrimeField(11))  # needs p >= 13
+def test_lam_examples():
+    spec = build("c3", 6, 2, [(2, 4)])
+    assert spec.lam == tuple((2 * i + 1, 2 * i + 2) for i in range(6))
+    assert np.array_equal(spec.lam_array(), spec.lam)
+    assert spec.lam_array().dtype == np.int64
+    assert build("c4", 4, 1, [(3, 1)]).lam == ((1,), (2,), (3,), (4,))  # s_m = 1
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,14 @@ def test_ingest_rejects_zero_blocks_before_writing(tmp_path):
         assert not root.exists()
 
 
+def test_ingest_rejects_blocks_with_a_payload_before_writing(tmp_path):
+    root = tmp_path / "c"
+    for blocks in (0, 3):
+        with pytest.raises(ParameterError, match="block count"):
+            ingest(b"hello", c3_spec(), root, blocks=blocks)
+        assert not root.exists()
+
+
 def test_ingest_requires_byte_capable_prime(tmp_path):
     with pytest.raises(ParameterError):
         ingest(b"abc", c3_spec(min_prime=0), tmp_path / "c")  # p = 13

@@ -16,6 +16,7 @@ REMOVED = [
     (constructions, ("erasure_inputs", "operator_table")),
     (repair, ("_split",)),
     (storage, ("_shard_blob", "_elements")),
+    (constructions, ("assign_lambda",)),
 ]
 
 
