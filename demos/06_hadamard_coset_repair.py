@@ -8,14 +8,14 @@ Hamming code on the failed nodes' digit positions.
 import numpy as np
 
 from msrcodes.constructions import build, encode, random_data
-from msrcodes.hamming import build_partition
+from msrcodes.hamming import syndromes
 from msrcodes.repair import plan, repair_from_codeword
 
-## the coset partition on {0,1}^3 that drives the grouping
-part = build_partition(2)
+## the coset partition on {0,1}^3 that drives the grouping: V_i = {y : syn[y] == i}
+syn = syndromes(3)
 print("Ham(2,2) cosets of {0,1}^3 (as y1 y2 y3 strings):")
 for i in range(4):
-    strs = sorted("".join(str(b) for b in v) for v in part.members(i, as_tuples=True))
+    strs = sorted("".join(str((y >> b) & 1) for b in range(3)) for y in np.flatnonzero(syn == i))
     print(f"  V_{i}: {strs}")
 
 spec = build("hadamard", 8, 4, [(3, 5)])

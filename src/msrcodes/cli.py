@@ -23,7 +23,7 @@ from .constructions import (Family, build, encode, mds_reconstruct, random_data,
 from .errors import CorruptionError, MsrError, ParameterError
 from .field import PrimeField
 from .grs import solve_vandermonde, syndrome_rhs
-from .hamming import build_partition
+from .hamming import syndromes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -33,8 +33,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _ints(text: str) -> list:
-    return [int(x) for x in text.split(",") if x != ""]
+def _ints(text: str, flag: str) -> list:
+    try:
+        return [int(x) for x in text.split(",") if x != ""]
+    except ValueError as exc:  # int() names the entry
+        raise ParameterError(f"{flag}: {exc}") from None
 
 
 def _seed(args) -> int:
@@ -54,14 +57,14 @@ def _parse_pattern_args(args) -> list:
         return [(int(h), int(d)) for h, d in pairs]
     if args.d is None:
         raise ParameterError("--d is required")
-    ds = _ints(args.d)
+    ds = _ints(args.d, "--d")
     if args.h is None:
         if args.family == Family.C1.value:
             hs = [1] * len(ds)
         else:
             raise ParameterError(f"--h is required for family {args.family}")
     else:
-        hs = _ints(args.h)
+        hs = _ints(args.h, "--h")
         if len(hs) == 1 and len(ds) > 1:
             hs = hs * len(ds)
     if len(hs) != len(ds):
@@ -120,17 +123,22 @@ def cmd_encode(args) -> tuple:
 
 def cmd_fail(args) -> tuple:
     state = storage.load_cluster(args.cluster)
-    storage.fail_nodes(state, _ints(args.nodes))
+    storage.fail_nodes(state, _ints(args.nodes, "--nodes"))
     failed = state.failed_nodes()
     return {"failed": failed}, f"failed nodes: {failed}", 0
 
 
 def cmd_repair(args) -> tuple:
+    nodes, helpers = _ints(args.nodes, "--nodes"), _ints(args.helpers, "--helpers")
+    out_path = args.report
+    # checked before the repair, which a report that cannot be written must not follow
+    if out_path and (out_path.is_dir() or not out_path.parent.is_dir()
+                     or not os.access(out_path.parent, os.W_OK)):
+        raise ParameterError(f"--report {str(out_path)!r} is a directory, or not in a writable one")
     state = storage.load_cluster(args.cluster)
-    nodes = _ints(args.nodes)
     if not nodes:
         return {"total": 0, "optimal": True}, "nothing to repair", 0
-    state, transcript = storage.run_repair(state, nodes, _ints(args.helpers), (args.h, args.d))
+    state, transcript = storage.run_repair(state, nodes, helpers, (args.h, args.d))
     report = audit.verify_transcript(transcript, state.spec)
     out = {"transcript": transcript.to_json(), "bound_report": report.bound_report()}
     if args.report:
@@ -220,12 +228,10 @@ def cmd_selftest(args) -> tuple:
             assert np.array_equal(restored[1], cw.column(1))
 
     def hamming_partition():
-        for w in (1, 2, 3):
-            part = build_partition(w)
-            seen = set()
-            for i in range(part.N + 1):
-                seen |= part.cosets[i]
-            assert len(seen) == 1 << part.N
+        # V_0..V_N tile {0,1}^N, each with 2^N / (N+1) members
+        for N in (1, 3, 7):
+            counts = np.bincount(syndromes(N), minlength=N + 1)
+            assert np.array_equal(counts, np.full(N + 1, (1 << N) // (N + 1)))
 
     def table_values():
         rows = {r.source: r.ell for r in audit.table1_report(12, 6, 2, 8)}

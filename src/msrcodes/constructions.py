@@ -179,15 +179,14 @@ class Codeword:
         return self.columns[j - 1]
 
 
-def node_points(spec: CodeSpec, nodes: Sequence[int], a, digits=None) -> np.ndarray:
+def node_points(spec: CodeSpec, nodes: Sequence[int], a) -> np.ndarray:
     """points[i, ...] = lambda_{nodes[i], a_{nodes[i]}} for plane indices a
-    of any shape; shape (len(nodes),) + a.shape.  digits is
-    spec.coords.digit_table(nodes), built here unless the caller has it.
+    of any shape; shape (len(nodes),) + a.shape.
 
     The one place a (node, plane) pair becomes its evaluation point.
     """
     lam = spec.lam_array()
-    digits = spec.coords.digit_table(nodes) if digits is None else digits
+    digits = spec.coords.digit_table(nodes)
     a = np.asarray(a, dtype=np.int64)
     out = np.empty((len(nodes),) + a.shape, dtype=np.int64)
     for i, (j, row) in enumerate(zip(nodes, digits)):
@@ -222,13 +221,14 @@ def erasure_table(spec: CodeSpec, slot_nodes: Sequence[int], known_nodes: Sequen
 
 def erasure_operator(spec: CodeSpec, table: np.ndarray, slot_digits, known_digits):
     """Per-word operators (e, m, L) read from an erasure_table, given each
-    erased slot's digit (e arrays (L,)) and each known node's (m arrays), in
-    any integer dtype (digit tables are uint8).  The row index is built in
+    erased slot's digit (arrays (L,), none for a one-row table such as
+    verify_planes' power table) and each known node's (m arrays), in any
+    integer dtype (digit tables are uint8).  The row index is built in
     int64, since s_m^(e+1) may pass 255, under NEP 50 and numpy 1.x
     promotion alike."""
     e, m, _ = table.shape
     s_m = spec.s_m
-    row = np.zeros(len(slot_digits[0]), dtype=np.int64)
+    row = np.zeros(len(known_digits[0]), dtype=np.int64)
     idx = np.empty_like(row)
     for u, dig in enumerate(slot_digits):
         row += np.multiply(dig, s_m ** (u + 1), out=idx, dtype=np.int64)
@@ -318,14 +318,13 @@ def verify_planes(spec: CodeSpec, columns: np.ndarray) -> bool:
     cols = spec.field.residues(cols)
     planes = cols.reshape(B, n, S, A)
     digits = spec.coords.digit_table()
+    # the checks as a one-row erasure table: table[t, j, c] = lam[j, c]^t, so
+    # a plane's operator op[t, j] is (point of node j)^t
+    table = np.stack([spec.field.pow(spec.lam_array(), t) for t in range(r)])
 
     def vanish(words, blocks):
-        # the checks as an operator: op[t, j] = (point of node j)^t per plane
         a0, a1 = words
-        pts = node_points(spec, range(1, n + 1), np.arange(a0, a1), digits)
-        op = np.ones((r, n, a1 - a0), dtype=np.int64)
-        for t in range(1, r):
-            op[t] = op[t - 1] * pts % p
+        op = erasure_operator(spec, table, [], digits[:, a0:a1])
         for b0, b1 in blocks:
             syn = np.empty((r, b1 - b0, S, a1 - a0), dtype=np.int64)
             apply_operator(p, op, np.moveaxis(planes[b0:b1, ..., a0:a1], 1, 0), syn)

@@ -36,7 +36,8 @@ divides.  Schemes differ only in that data:
             b_table[b, v] = b
   block     C3/C4 and the other C1/C2 patterns; every plane is a base plane,
             b_table[mu, v] = mu * w_i + Omega_i[v]
-  Hadamard  base planes from the Hamming coset V_0; b_table = [[0, 0]]
+  Hadamard  base planes whose bits at M have Hamming syndrome 0 (the code
+            V_0); b_table = [[0, 0]]
 
 Group ordering is deterministic: families in partition order, groups by
 (block, a) within a family, so helper payloads need no per-symbol labels.
@@ -54,7 +55,7 @@ from .constructions import CodeSpec, Family, erasure_operator, erasure_table
 from .errors import ParameterError
 from .grs import apply_operator, each, mod_p, units
 from .grs import solve_vandermonde, syndrome_rhs  # noqa: F401  perfbench's tracer rebinds them
-from .hamming import build_partition
+from .hamming import syndromes
 
 
 @dataclass
@@ -165,14 +166,14 @@ def plan(spec: CodeSpec, failed: Sequence[int], helpers: Sequence[int],
 
     coords = spec.coords
     if spec.family is Family.HADAMARD:
-        # plane pairs {a, a + 1_{P_i}} with a|_M in the Hamming coset V_0, where
-        # M holds one representative position (the maximum) per P_i
-        part = build_partition((info.h // info.delta).bit_length())  # h/(d-k) = 2^w - 1
+        # plane pairs {a, a + 1_{P_i}} with a|_M in the Hamming code V_0: the
+        # bits y of a at M, one representative position (the maximum) per P_i,
+        # have syndrome 0 (len(M) = h/(d-k) = 2^w - 1)
         M = tuple(max(P) for P in partition)
         y = (1 << np.arange(len(M))) @ coords.digit_table(M)
-        a_base = np.flatnonzero(part.class_table()[y] == 0)
+        a_base = np.flatnonzero(syndromes(len(M))[y] == 0)
         b_tables = [np.zeros((1, 2), dtype=np.int64)] * len(partition)
-        extras = {"M": M, "partition": part}
+        extras = {"M": M}
     elif info.pinned:
         # largest-s pattern of C1/C2: full s_m-orbits whose representative has
         # digit 0 at min(H), repeated in every block b

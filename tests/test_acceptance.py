@@ -20,7 +20,7 @@ from msrcodes.constructions import (build, encode, mds_reconstruct,
                                     random_data)
 from msrcodes.field import PrimeField
 from msrcodes.grs import solve_vandermonde, syndrome_rhs
-from msrcodes.hamming import build_partition
+from msrcodes.hamming import syndromes
 from msrcodes.repair import plan, repair_from_codeword
 
 
@@ -141,14 +141,17 @@ def test_criterion_4_hadamard_thm4():
             for j in H:
                 assert np.array_equal(restored[j], cw.column(j))
         for w in (2, 3, 4):
-            part = build_partition(w)
-            N = part.N
+            N = (1 << w) - 1
+            syn = syndromes(N)
+            # reference: a GF(2) parity-check matrix whose column c is c in binary
+            check = np.array([[(c >> b) & 1 for c in range(1, N + 1)] for b in range(w)])
+            Y = np.array([[(y >> i) & 1 for i in range(N)] for y in range(1 << N)])
+            assert np.array_equal(syn, (Y @ check.T % 2) @ (1 << np.arange(w)))
             counts = np.zeros(1 << N, dtype=int)
             for i in range(N + 1):
-                assert len(part.cosets[i]) == (1 << N) // (N + 1)
-                for y in part.cosets[i]:
-                    counts[y] += 1
-                    assert part.classify(y) == i
+                cosets = np.flatnonzero(syn == i)
+                assert len(cosets) == (1 << N) // (N + 1)
+                counts[cosets] += 1
             assert np.all(counts == 1)  # exact tiling of {0,1}^N
 
 

@@ -173,6 +173,47 @@ def test_repair_missing_helper_shard_exits_2(tmp_path, capsys):
         assert state.status(j) == "FAILED" and not state.shard_path(j).exists()
 
 
+@pytest.mark.parametrize("report", ["missing/r.json", "a-file/r.json", "a-dir"])
+def test_repair_report_that_cannot_be_written_exits_1_before_repairing(report, tmp_path, capsys):
+    cluster = tmp_path / "cl"
+    run(capsys, "encode", "--family", "c3", "--n", "6", "--k", "2",
+        "--h", "2", "--d", "4", "--cluster", str(cluster),
+        "--random-bytes", "500", "--seed", "1")
+    run(capsys, "fail", "--cluster", str(cluster), "--nodes", "1,2")
+    (tmp_path / "a-file").write_text("")
+    (tmp_path / "a-dir").mkdir()
+    before = {p: p.read_bytes() for p in cluster.rglob("*") if p.is_file()}
+    report = tmp_path / report
+    code, out, err = run(capsys, "repair", "--cluster", str(cluster),
+                         "--nodes", "1,2", "--helpers", "3,4,5,6",
+                         "--h", "2", "--d", "4", "--report", str(report))
+    assert code == 1 and out == "" and "--report" in err
+    assert not report.is_file()
+    assert {p: p.read_bytes() for p in cluster.rglob("*") if p.is_file()} == before
+    state = storage.load_cluster(cluster)
+    for j in (1, 2):
+        assert state.status(j) == "FAILED" and not state.shard_path(j).exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["fail", "--nodes", "1,x"], "--nodes"),
+    (["repair", "--nodes", "x", "--helpers", "3,4,5,6", "--h", "2", "--d", "4"], "--nodes"),
+    (["repair", "--nodes", "1,2", "--helpers", "3,x,5,6", "--h", "2", "--d", "4"], "--helpers"),
+    (["params", "--family", "c1", "--n", "5", "--k", "2", "--d", "3,x"], "--d"),
+    (["params", "--family", "c3", "--n", "6", "--k", "2", "--h", "x", "--d", "4"], "--h"),
+])
+def test_malformed_node_lists_are_named(argv, flag, tmp_path, capsys):
+    cluster = tmp_path / "cl"
+    run(capsys, "encode", "--family", "c3", "--n", "6", "--k", "2",
+        "--h", "2", "--d", "4", "--cluster", str(cluster), "--blocks", "1")
+    if argv[0] != "params":
+        argv = argv[:1] + ["--cluster", str(cluster)] + argv[1:]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert flag in err and "'x'" in err
+    assert storage.load_cluster(cluster).failed_nodes() == []
+
+
 def test_verify_mds(tmp_path, capsys):
     cluster = tmp_path / "cl"
     run(capsys, "encode", "--family", "c1", "--n", "5", "--k", "2", "--d", "3,4",

@@ -11,6 +11,7 @@ from msrcodes.constructions import (build, encode,
                                     random_data,
                                     spec_from_manifest, verify_planes)
 from msrcodes.errors import ParameterError
+from msrcodes.hamming import syndromes
 from msrcodes.repair import plan
 
 
@@ -44,8 +45,9 @@ def test_build_c3_example():
 
 def test_build_hadamard_example():
     spec = build("hadamard", 8, 4, [(3, 5)])
-    part = plan(spec, [1, 2, 3], [4, 5, 6, 7, 8], (3, 5)).extras["partition"]
-    assert part.w == 2 and part.N == 3  # Ham(2, w) with N = h/(d-k)
+    extras = plan(spec, [1, 2, 3], [4, 5, 6, 7, 8], (3, 5)).extras
+    assert extras == {"M": (1, 2, 3)}  # Ham(2, w) with N = h/(d-k) = 3 positions
+    assert np.array_equal(np.bincount(syndromes(len(extras["M"]))), [2, 2, 2, 2])
     assert spec.ell == 256 and spec.s == 1 and spec.s_m == 2
     assert spec.field.p == 17  # > 2n = 16
 

@@ -3,7 +3,9 @@
 There a product of two residues is close to 2^62, so a sum of three of them
 overflows int64: grs.apply_operator must reduce every 2 terms.  With k = 2
 and d = 3 both the encoder (2 terms) and the d = 3 repairs (3 terms) sit at
-that edge.  Every plane is checked with Python ints, outside numpy.
+that edge.  Every plane is checked with Python ints, outside numpy, and
+verify_planes, whose checks sum n such products, must accept a codeword
+there and reject it with one symbol changed.
 """
 
 import hashlib
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from msrcodes import storage
-from msrcodes.constructions import build
+from msrcodes.constructions import build, encode_blocks, verify_planes
 
 P = 2147483647
 BLOCKS = 5
@@ -75,3 +77,16 @@ def test_cluster_cycle_at_the_largest_prime(name, tmp_path):
     payload = storage.extract(state)
     assert hashlib.sha256(payload).hexdigest() == state.manifest["digest"]
     assert payload == data.astype("<u8").tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_verify_planes_at_the_largest_prime(name):
+    family, patterns, _ = CASES[name]
+    spec = build(family, 6, 2, patterns, prime=P)
+    data = np.random.default_rng(7).integers(0, P, size=(BLOCKS, spec.k, spec.ell), dtype=np.int64)
+    cols = encode_blocks(spec, data)
+    assert cols.max() > P // 2   # each check sums n products close to 2^62
+    assert verify_planes(spec, cols)
+    bad = cols.copy()
+    bad[-1, -1, -1] = (bad[-1, -1, -1] + 1) % P
+    assert not verify_planes(spec, bad)

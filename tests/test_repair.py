@@ -124,13 +124,12 @@ def test_hadamard_step1_classes_match_coset_union():
     H = [1, 2, 3]
     pl = plan(spec, H, [4, 5, 6, 7, 8], (3, 5))
     M = pl.extras["M"]
-    part = pl.extras["partition"]
+    # reference: a GF(2) parity-check matrix whose column c is c in binary
+    check = np.array([[(c >> b) & 1 for c in range(1, len(M) + 1)] for b in range(2)])
 
     def a_class(a):
-        y = 0
-        for gi, pos in enumerate(M):
-            y |= ((a >> (pos - 1)) & 1) << gi
-        return part.classify(y)
+        y = np.array([(a >> (pos - 1)) & 1 for pos in M])
+        return int((check @ y % 2) @ [1, 2])
 
     for fam in pl.families:
         covered = sorted(int(t) for t in fam.agg_tau.ravel())

@@ -1,5 +1,5 @@
 import msrcodes
-from msrcodes import constructions, errors, field, grs, mixedradix, repair, storage
+from msrcodes import constructions, errors, field, grs, hamming, mixedradix, repair, storage
 
 REMOVED = [
     (msrcodes, ("FieldElement", "FieldMismatchError", "ScenarioError")),
@@ -17,6 +17,7 @@ REMOVED = [
     (repair, ("_split",)),
     (storage, ("_shard_blob", "_elements")),
     (constructions, ("assign_lambda",)),
+    (hamming, ("CosetPartition", "build_partition", "syndrome_of", "_to_int")),
 ]
 
 
