@@ -27,7 +27,8 @@ cw = encode(spec, random_data(spec, rng))
 pts = node_points(spec, range(1, spec.n + 1), np.arange(spec.coords.a_count))
 tau = 5
 b, a = divmod(tau, spec.coords.a_count)
-print(f"\nplane tau={tau} -> (a={a}, b={b}), digits of a: {spec.coords.digits(a)}")
+digits = tuple(spec.coords.digit_table()[:, a].tolist())
+print(f"\nplane tau={tau} -> (a={a}, b={b}), digits of a: {digits}")
 for t in range(spec.r):
     acc = sum(pow(int(pts[j, a]), t, spec.field.p) * int(cw.columns[j, tau])
               for j in range(spec.n)) % spec.field.p

@@ -196,22 +196,24 @@ def node_points(spec: CodeSpec, nodes: Sequence[int], a) -> np.ndarray:
 
 def erasure_table(spec: CodeSpec, slot_nodes: Sequence[int], known_nodes: Sequence[int]):
     """The operators of every word with e erased slots (on nodes slot_nodes;
-    a node may hold several) and m known nodes, from one call of the kernels,
-    laid out (e, m, s_m^e * s_m) for erasure_operator.
+    a node may hold up to s_m of them) and m known nodes, from one call of the
+    kernels, laid out (e, m, s_m^q * s_m) for erasure_operator, where q is the
+    number of distinct slot nodes.
 
-    Row t = sum_u t_u * s_m^u puts erased slot u at digit t_u; column
-    i*s_m + c is known node i at digit c.  Entry [u, i, t*s_m + c] is then
-    operator entry (u, i) of row t at known digit c, so every entry (u, i) is
-    one contiguous row that erasure_operator reads with a 1-D take.  Rows
-    that repeat a point, which no word has, borrow a valid row's points."""
-    s_m, e, lam = spec.s_m, len(slot_nodes), spec.lam_array()
-    digits = CoordinateSystem(s_m, e).digit_table().T
-    points = lam[np.asarray(slot_nodes) - 1, digits]
-    ordered = np.sort(points, axis=1)
-    repeats = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
-    points[repeats] = points[~repeats][0]
+    Row t = sum_u t_u * s_m^u puts the u-th distinct slot node, in first-seen
+    order, at digit t_u; its v-th slot holds digit t_u + v (mod s_m), as in a
+    repair orbit, so no row repeats a point.  Column i*s_m + c is known node i
+    at digit c.  Entry [u, i, t*s_m + c] is then operator entry (u, i) of row
+    t at known digit c, so every entry (u, i) is one contiguous row that
+    erasure_operator reads with a 1-D take."""
+    s_m, lam, slot_nodes = spec.s_m, spec.lam_array(), list(slot_nodes)
+    nodes = list(dict.fromkeys(slot_nodes))
+    digits = CoordinateSystem(s_m, len(nodes)).digit_table()
+    # np.roll(lam[j - 1], -v)[c] = lam[j - 1, (c + v) mod s_m]
+    points = np.stack([np.roll(lam[j - 1], -slot_nodes[:u].count(j))[digits[nodes.index(j)]]
+                       for u, j in enumerate(slot_nodes)], axis=1)
     cand = lam[np.asarray(known_nodes) - 1].ravel()
-    rows, m = len(points), len(known_nodes)
+    rows, m, e = len(points), len(known_nodes), len(slot_nodes)
     table = solve_vandermonde(spec.field, points, syndrome_rhs(
         spec.field, np.broadcast_to(cand, (rows, cand.size)),
         np.broadcast_to(np.eye(cand.size, dtype=np.int64), (rows, cand.size, cand.size)), e))
@@ -220,12 +222,12 @@ def erasure_table(spec: CodeSpec, slot_nodes: Sequence[int], known_nodes: Sequen
 
 
 def erasure_operator(spec: CodeSpec, table: np.ndarray, slot_digits, known_digits):
-    """Per-word operators (e, m, L) read from an erasure_table, given each
-    erased slot's digit (arrays (L,), none for a one-row table such as
-    verify_planes' power table) and each known node's (m arrays), in any
-    integer dtype (digit tables are uint8).  The row index is built in
-    int64, since s_m^(e+1) may pass 255, under NEP 50 and numpy 1.x
-    promotion alike."""
+    """Per-word operators (e, m, L) read from an erasure_table, given the
+    digit of each distinct slot node (q arrays (L,), none for a one-row
+    table such as verify_planes' power table) and each known node's (m
+    arrays), in any integer dtype (digit tables are uint8).  The row index
+    is built in int64, since s_m^(q+1) may pass 255, under NEP 50 and numpy
+    1.x promotion alike."""
     e, m, _ = table.shape
     s_m = spec.s_m
     row = np.zeros(len(known_digits[0]), dtype=np.int64)

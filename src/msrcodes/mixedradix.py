@@ -9,11 +9,9 @@ expressions stay transcribable.
 This module is the one home of the digit arithmetic.  Every per-symbol path
 reads digits from CoordinateSystem.digit_table, a uint8 table of every a's
 digits built without a division: the encoder's and decoder's planes slice
-it, the repair plan's shifts (shift_digits) and the center's groups gather
-from it, and erasure_table takes its rows' digit tuples from its transpose.
-A group's columns tau = b * a_count + a index it with np.take(...,
-mode="wrap"), which takes b * a_count off tau by subtraction (b < s).
-digit divides and serves scalar use; digits expands one index.
+it, the repair plan's shifts (shift_digits) and the center's base planes
+(a < a_count) gather from it, and erasure_table takes its rows' digit tuples
+from it.
 """
 
 from __future__ import annotations
@@ -44,24 +42,6 @@ class CoordinateSystem:
     def _check_position(self, i: int):
         if not (1 <= i <= self.ndigits):
             raise ParameterError(f"position {i} outside [1, {self.ndigits}]")
-
-    def digits(self, a: int) -> tuple:
-        """Base-ary expansion of a, least significant digit first."""
-        if not (0 <= a < self.a_count):
-            raise ParameterError(f"a={a} outside [0, {self.a_count - 1}]")
-        out = []
-        for _ in range(self.ndigits):
-            out.append(a % self.base)
-            a //= self.base
-        return tuple(out)
-
-    def digit(self, a, i: int):
-        """Digit at 1-based position i; works on ints and ndarrays.  Taken as
-        q - (q // base) * base for q = a // base^(i-1): numpy divides an
-        int64 array by a scalar fast, but has no fast path for its %."""
-        self._check_position(i)
-        q = a // self.base ** (i - 1)
-        return q - q // self.base * self.base
 
     def digit_table(self, positions: Optional[Sequence[int]] = None) -> np.ndarray:
         """table[r, a] = digit of a at positions[r] (default 1..ndigits), as

@@ -15,10 +15,11 @@ nodes, and the sums of idle nodes), filled by the group's erasure operator.
 A plan stores only each group's aggregation coordinates (agg_tau), slot-major:
 agg_tau[:, w] is contiguous, so a helper sums its column over a family with
 one take per slot and one reduction (grs.mod_p, a division by the scalar p,
-not an integer %).  The solve reads, slice by slice, every node's digit at
-a group's first slot with one wrap-mode take of a uint8 digit table
-(CoordinateSystem.digit_table) at agg_tau[:, 0], and a member's slot w from
-an s_m-entry lookup, since slot w shifts the member digits by w.  Its slots
+not an integer %).  A family's groups are U block copies of G orbits, and
+a group's operator depends only on its base plane, so the solve builds one
+operator per base plane, from one take of a uint8 digit table
+(CoordinateSystem.digit_table) there and an erasure table keyed by the
+erased nodes' digits (a member's slot w holds its digit plus w).  Its slots
 are in one fixed order: known slots are the helpers ascending; erased slots
 are the members' (j, w) slots, then the other non-helpers ascending.  The
 helpers' payloads enter the solve as they are, with no copy.
@@ -65,9 +66,10 @@ class GroupFamily:
     index: int                # 1-based partition index i
     members: tuple            # P_i, ascending node ids
     width: int                # symbols recovered per member per group
-    agg_tau: np.ndarray       # (G, width) packed aggregation coordinates,
+    agg_tau: np.ndarray       # (U*G, width) packed aggregation coordinates,
                               # slot-major: each agg_tau[:, w] is contiguous
     others: tuple             # nodes outside P, ascending
+    copies: int               # U: group u*G + g is base plane g's copy u
 
     @property
     def group_count(self) -> int:
@@ -136,7 +138,8 @@ def _orbit_family(spec: CodeSpec, index: int, P: tuple, R: tuple,
             raise ParameterError("repeated evaluation point in a repair group (internal)")
     agg_tau = slot_major.T
     return GroupFamily(index=index, members=P, width=W, agg_tau=agg_tau,
-                       others=tuple(j for j in range(1, spec.n + 1) if j not in P))
+                       others=tuple(j for j in range(1, spec.n + 1) if j not in P),
+                       copies=b_table.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +246,11 @@ def helper_aggregate(plan_: RepairPlan, helper: int, column: np.ndarray) -> Help
 
 def _payload_arrays(plan_: RepairPlan, payloads) -> list:
     """Payloads as d (B, per_helper) int64 residue arrays in helper order,
-    uncopied; a payload is reduced mod p only if an entry lies outside [0, p)."""
+    uncopied; a payload is reduced mod p only if an entry lies outside [0, p).
+    Exactly one payload per helper is accepted."""
     by_node = {int(pl.helper): np.atleast_2d(pl.values) for pl in payloads}
-    if set(by_node) != set(plan_.helpers):
-        raise ParameterError("payloads do not match the helper set")
+    if sorted(int(pl.helper) for pl in payloads) != list(plan_.helpers):
+        raise ParameterError("payloads do not match the helper set, one per helper")
     shape = (by_node[plan_.helpers[0]].shape[0], plan_.per_helper)
     for j in plan_.helpers:
         if by_node[j].shape != shape:
@@ -261,51 +265,48 @@ def repair_columns(plan_: RepairPlan, payloads: Sequence[np.ndarray]) -> np.ndar
     payloads holds the d helpers' (B, per_helper) residue arrays, in helper
     order.  A group's r erased slots are its (r x d) erasure operator applied
     to the d helper sums.  The operator depends only on the digits of the
-    erased slots (an erasure table row) and of the helpers, so erasure_table
-    builds one table per family, and each unit of grs.units (run by grs.each)
-    reads its groups' operators from it and applies them to the payloads in
-    place.  A unit reads its groups' digits with one wrap-mode take of the
-    family's digit table at agg_tau[:, 0] = b*A + a; member j's slot w holds
-    the plane shifted by w at j, so its digit is (a_j + w) mod s_m, read from
-    an s_m-entry lookup.
+    distinct erased nodes (an erasure table row) and of the helpers at the
+    group's base plane, so erasure_table builds one table per family, and
+    each unit of grs.units (run by grs.each) reads the operators of its base
+    planes from it, with one take of the family's digit table at the base
+    planes a = agg_tau[g, 0] (copy 0 lies in block 0), and applies each one
+    in place to its U copies.
     """
     spec, helpers, r = plan_.spec, plan_.helpers, plan_.spec.r
-    p, s_m = spec.field.p, spec.s_m
-    B = payloads[0].shape[0]
+    p, d, B = spec.field.p, len(helpers), payloads[0].shape[0]
     restored = np.zeros((len(plan_.failed), B, spec.ell), dtype=np.int64)
     node_row = {j: i for i, j in enumerate(plan_.failed)}
-    shifts = [((np.arange(s_m) + w) % s_m).astype(np.uint8) for w in range(s_m)]
 
     sums, start = [], 0
     for fam in plan_.families:
+        U, G = fam.copies, fam.group_count // fam.copies
         # erased slots: (member, w), then (other non-helper, None)
         slots = [(j, w) for j in fam.members for w in range(fam.width)]
         slots += [(j, None) for j in fam.others if j not in helpers]
-        table = erasure_table(spec, [j for j, _ in slots], helpers)
-        # digit table rows: the members, the other non-helpers, the helpers
-        nodes = list(fam.members) + [j for j, w in slots if w is None] + list(helpers)
-        digit_table, slot_rows = spec.coords.digit_table(nodes), [nodes.index(j) for j, _ in slots]
-        fam_sums = {j: np.empty((B, fam.group_count), dtype=np.int64)
+        erased = [j for j, _ in slots]
+        table = erasure_table(spec, erased, helpers)
+        # digit rows: erasure_table's distinct erased nodes, then the helpers
+        nodes = list(dict.fromkeys(erased)) + list(helpers)
+        digit_table, taus = spec.coords.digit_table(nodes), fam.agg_tau.reshape(U, G, -1)
+        pays = [pl[:, start:start + U * G].reshape(B, U, G) for pl in payloads]
+        fam_sums = {j: np.empty((B, U, G), dtype=np.int64)
                     for j, w in slots if w is None and j in node_row}
 
         def solve(groups, blocks):
             g0, g1 = groups
-            dig = np.take(digit_table, fam.agg_tau[g0:g1, 0], axis=1, mode="wrap")
-            op = erasure_operator(spec, table,
-                                  [np.take(shifts[w], dig[i]) if w else dig[i]
-                                   for (_, w), i in zip(slots, slot_rows)],
-                                  dig[-len(helpers):])
+            dig = np.take(digit_table, taus[0, g0:g1, 0], axis=1)
+            op = erasure_operator(spec, table, dig[:-d], dig[-d:])
             for b0, b1 in blocks:
-                x = np.empty((r, b1 - b0, g1 - g0), dtype=np.int64)
-                apply_operator(p, op, [pl[b0:b1, start + g0:start + g1] for pl in payloads], x)
+                x = np.empty((r, b1 - b0, U, g1 - g0), dtype=np.int64)
+                apply_operator(p, op, [pl[b0:b1, :, g0:g1] for pl in pays], x)
                 for (j, w), xu in zip(slots, x):
                     if w is not None:
-                        restored[node_row[j]][b0:b1, fam.agg_tau[g0:g1, w]] = xu
+                        restored[node_row[j]][b0:b1, taus[:, g0:g1, w]] = xu
                     elif j in fam_sums:
-                        fam_sums[j][b0:b1, g0:g1] = xu
+                        fam_sums[j][b0:b1, :, g0:g1] = xu
 
-        each(solve, units(B, fam.group_count, len(helpers) + r, r * len(helpers)))
-        sums += [(fam, j, acc) for j, acc in fam_sums.items()]
+        each(solve, units(B, G, U * (d + r), r * d))
+        sums += [(fam, j, acc.reshape(B, -1)) for j, acc in fam_sums.items()]
         start += fam.group_count
 
     # step 2: no download; peel the recovered sums with already-known symbols

@@ -191,12 +191,11 @@ def test_every_plane_has_zero_syndromes():
     spec = build("c1", 4, 2, [(1, 3)])
     rng = np.random.default_rng(0)
     cw = encode(spec, random_data(spec, rng))
-    lam = spec.lam_array()
-    cs = spec.coords
+    lam, s_m = spec.lam_array(), spec.s_m
     for tau in range(spec.ell):
-        a = tau % cs.a_count
+        a = tau % spec.coords.a_count
         for t in range(spec.r):
-            acc = sum(pow(int(lam[j - 1, cs.digit(a, j)]), t, spec.field.p)
+            acc = sum(pow(int(lam[j - 1, (a // s_m**(j - 1)) % s_m]), t, spec.field.p)
                       * int(cw.columns[j - 1, tau]) for j in range(1, 5))
             assert acc % spec.field.p == 0
     assert verify_planes(spec, cw.columns)

@@ -17,17 +17,15 @@ def from_digits(ds, base: int) -> int:
     return sum(dig * base**i for i, dig in enumerate(ds))
 
 
+def to_digits(a: int, base: int, ndigits: int) -> list:
+    """Reference: the floor-divide expansion of a, least significant digit first."""
+    return [a // base**i % base for i in range(ndigits)]
+
+
 def test_digits_examples():
-    assert CoordinateSystem(3, 3).digits(5) == (2, 1, 0)  # 5 = 2 + 1*3
-    assert CoordinateSystem(4, 5).digits(0) == (0, 0, 0, 0, 0)
-    assert CoordinateSystem(3, 3).digits(26) == (2, 2, 2)
-
-
-def test_digits_range_check():
-    with pytest.raises(ParameterError):
-        CoordinateSystem(3, 3).digits(27)
-    with pytest.raises(ParameterError):
-        CoordinateSystem(3, 3).digits(-1)
+    assert CoordinateSystem(3, 3).digit_table()[:, 5].tolist() == [2, 1, 0]  # 5 = 2 + 1*3
+    assert CoordinateSystem(4, 5).digit_table()[:, 0].tolist() == [0, 0, 0, 0, 0]
+    assert CoordinateSystem(3, 3).digit_table()[:, 26].tolist() == [2, 2, 2]
 
 
 def test_cyc_add_examples():
@@ -49,15 +47,17 @@ def test_cyc_add_is_bijection(base):
 
 def test_from_digits_roundtrip():
     cs = CoordinateSystem(3, 4)
+    table = cs.digit_table()
     for a in range(cs.a_count):
-        assert from_digits(cs.digits(a), 3) == a
+        assert from_digits(table[:, a].tolist(), 3) == a
+        assert to_digits(a, 3, 4) == table[:, a].tolist()
 
 
 def test_shift_digits_matches_manual():
     cs = CoordinateSystem(3, 4)
     for a, v in itertools.product(range(cs.a_count), range(3)):
         shifted = cs.shift_digits(a, [2, 4], v)
-        ds = list(cs.digits(a))
+        ds = to_digits(a, 3, 4)
         ds[1] = (ds[1] + v) % 3
         ds[3] = (ds[3] + v) % 3
         assert shifted == from_digits(ds, 3)
@@ -66,8 +66,8 @@ def test_shift_digits_matches_manual():
 def test_array_digit_and_shift_match_scalar():
     cs = CoordinateSystem(3, 3)
     a = np.arange(cs.a_count)
-    d2 = cs.digit(a, 2)
-    assert np.array_equal(d2, np.array([cs.digit(int(x), 2) for x in a]))
+    d2 = cs.digit_table([2])[0]
+    assert d2.tolist() == [to_digits(int(x), 3, 3)[1] for x in a]
     out = cs.shift_digits(a, [1, 3], 2)
     assert np.array_equal(out, np.array([cs.shift_digits(int(x), [1, 3], 2) for x in a]))
 
@@ -76,10 +76,11 @@ def test_array_digit_and_shift_match_scalar():
 def test_digit_matches_floor_divide_and_remainder(base, ndigits):
     cs = CoordinateSystem(base, ndigits)
     a = np.random.default_rng(base).integers(0, cs.a_count, size=500)
+    table = cs.digit_table()
     for i in range(1, ndigits + 1):
         want = (a // base ** (i - 1)) % base
-        assert np.array_equal(cs.digit(a, i), want)
-        assert [cs.digit(int(x), i) for x in a[:20]] == want[:20].tolist()
+        assert np.array_equal(table[i - 1, a], want)
+        assert np.array_equal(cs.digit_table([i])[0, a], want)
 
 
 @pytest.mark.parametrize("base", [2, 3, 4, 5])
@@ -100,7 +101,7 @@ def test_digit_table_is_the_divided_digit_at_every_position(base, ndigits):
         shifted = cs.shift_digits(q, [ndigits], v)
         for a in range(0, cs.a_count, max(1, cs.a_count // 50)):
             assert cs.shift_digits(a, [ndigits], v) == shifted[a]
-            ds = list(cs.digits(a))
+            ds = to_digits(a, base, ndigits)
             ds[-1] = (ds[-1] + v) % base
             assert shifted[a] == from_digits(ds, base)
 

@@ -3,8 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from msrcodes.constructions import (build, encode, encode_blocks, mds_reconstruct, node_points,
-                                    random_data, verify_planes)
+from msrcodes.constructions import build, encode, encode_blocks, node_points, random_data
 from msrcodes.errors import ParameterError
 from msrcodes.mixedradix import CoordinateSystem
 from msrcodes.repair import (HelperPayload, center_repair, helper_aggregate,
@@ -332,6 +331,22 @@ def test_center_repair_payload_validation():
             center_repair(pl, bad_blocks)
 
 
+def test_center_repair_takes_exactly_one_payload_per_helper():
+    # a second payload for a helper must not replace the first: here the
+    # extra one is a corrupted copy of helper 4's
+    spec = build("c3", 6, 2, [(2, 4)])
+    cw = encode(spec, random_data(spec, np.random.default_rng(8)))
+    pl = plan(spec, [1, 2], [3, 4, 5, 6], (2, 4))
+    good = [helper_aggregate(pl, j, cw.column(j)) for j in pl.helpers]
+    corrupt = HelperPayload(4, (good[1].values + 1) % spec.field.p)
+    for bad in (good + [corrupt], [good[0], good[1], corrupt, good[2], good[3]],
+                good[:3], good[:3] + [good[0]]):
+        with pytest.raises(ParameterError, match="one per helper"):
+            center_repair(pl, bad)
+    restored, t = center_repair(pl, good[::-1])   # any order, one each
+    assert np.array_equal(restored[1], cw.column(1)) and t.total == 256
+
+
 def test_transcript_json_schema():
     spec = build("c3", 6, 2, [(2, 4)])
     rng = np.random.default_rng(7)
@@ -370,47 +385,3 @@ def test_one_code_repairs_every_pattern_optimally(family, n, k):
             assert t.total == t.gamma == d * h * spec.ell // (d - k + h) and t.uniform
             for j in H:
                 assert np.array_equal(restored[j], cw.column(j)), (h, d, H, R)
-
-
-DIGIT_CASES = [  # spec, then (failed, helpers, pattern) per repair
-    (("c1", 8, 4, [(1, 6), (1, 7)]),
-     [([2], [1, 3, 4, 5, 6, 7], (1, 6)), ([8], [1, 2, 3, 4, 5, 6, 7], (1, 7))]),
-    (("c4", 6, 2, [(1, 3), (2, 4), (3, 3)]),
-     [([6], [1, 2, 3], (1, 3)), ([2, 5], [1, 3, 4, 6], (2, 4)), ([1, 3, 5], [2, 4, 6], (3, 3))]),
-    (("hadamard", 8, 4, [(3, 5)]), [([2, 5, 7], [1, 3, 4, 6, 8], (3, 5))]),
-]
-
-
-def _digit_case_outputs():
-    out = []
-    for args, repairs in DIGIT_CASES:
-        spec = build(*args)
-        cols = encode_blocks(spec, random_data(spec, np.random.default_rng(12), blocks=2))
-        last = list(range(spec.n - spec.k + 1, spec.n + 1))
-        bad = cols.copy()
-        bad[-1, -1, -1] = (bad[-1, -1, -1] + 1) % spec.field.p
-        out += [cols, mds_reconstruct(spec, last, cols[0, [j - 1 for j in last]]).columns,
-                verify_planes(spec, cols), verify_planes(spec, bad)]
-        for failed, helpers, pattern in repairs:
-            pl = plan(spec, failed, helpers, pattern)
-            payloads = [helper_aggregate(pl, j, cols[:, j - 1]) for j in helpers]
-            restored, transcript = center_repair(pl, payloads)
-            out += [f.agg_tau for f in pl.families] + [pay.values for pay in payloads]
-            out += [restored[j] for j in failed] + [transcript.to_json()]
-    return out
-
-
-def test_no_per_symbol_path_divides_for_its_digits(monkeypatch):
-    # encode, decode, verify_planes, the plan, the helpers and the center read
-    # digits from CoordinateSystem.digit_table; digit divides, and serves
-    # scalar use only
-    before = _digit_case_outputs()
-    assert before[2] and not before[3]
-
-    def digit(self, a, i):
-        raise AssertionError("a per-symbol path called CoordinateSystem.digit")
-
-    monkeypatch.setattr(CoordinateSystem, "digit", digit)
-    after = _digit_case_outputs()
-    assert len(after) == len(before)
-    assert all(np.array_equal(x, y) for x, y in zip(before, after))

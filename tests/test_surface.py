@@ -18,6 +18,7 @@ REMOVED = [
     (storage, ("_shard_blob", "_elements")),
     (constructions, ("assign_lambda",)),
     (hamming, ("CosetPartition", "build_partition", "syndrome_of", "_to_int")),
+    (mixedradix.CoordinateSystem, ("digit", "digits")),
 ]
 
 

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msrcodes import constructions, grs
+from msrcodes import constructions, grs, repair
 from msrcodes.constructions import (build, complete_columns, encode_blocks, mds_reconstruct,
                                     random_data, verify_planes)
 from msrcodes.repair import center_repair, helper_aggregate, plan
@@ -32,6 +32,7 @@ REPAIRS = [  # (spec name, failed, helpers, pattern)
     ("c4", [1, 3, 5], [2, 4, 6], (3, 3)),  # three families and the step-2 peel
     ("c4", [2, 5], [1, 3, 4, 6], (2, 4)),
     ("hadamard", [2, 5, 7], [1, 3, 4, 6, 8], (3, 5)),
+    ("c4", [6], [1, 2, 3], (1, 3)),       # two block copies of each base plane
 ]
 
 BLOCKS = 3
@@ -149,6 +150,39 @@ def test_repair_solves_once_per_family(monkeypatch, name, failed, helpers, patte
         restored, _ = center_repair(pl, payloads)
         assert all(np.array_equal(restored[j], columns[:, j - 1]) for j in failed)
         assert len(calls) == len(pl.families), budget
+        # one row per digit tuple of the q distinct erased nodes: the members
+        # and the other non-helpers
+        erased = [len(f.members) + len(set(f.others) - set(helpers)) for f in pl.families]
+        assert [rows for rows, _ in calls] == [spec.s_m**q for q in erased], budget
+
+
+@pytest.mark.parametrize("name, failed, helpers, pattern", REPAIRS)
+def test_repair_builds_one_operator_per_base_plane(monkeypatch, name, failed, helpers, pattern):
+    # a group's operator depends only on its base plane, so a family asks
+    # erasure_operator for group_count / copies words, whatever the units
+    spec = build(*SPECS[name])
+    columns = encode_blocks(spec, random_data(spec, np.random.default_rng(6), blocks=1))
+    pl = plan(spec, failed, helpers, pattern)
+    payloads = [helper_aggregate(pl, j, columns[:, j - 1]) for j in pl.helpers]
+    words, real_table, real_operator = [], repair.erasure_table, repair.erasure_operator
+
+    def erasure_table(*args):
+        words.append(0)   # one table per family
+        return real_table(*args)
+
+    def erasure_operator(spec, table, slot_digits, known_digits):
+        words[-1] += len(known_digits[0])
+        return real_operator(spec, table, slot_digits, known_digits)
+
+    monkeypatch.setattr(repair, "erasure_table", erasure_table)
+    monkeypatch.setattr(repair, "erasure_operator", erasure_operator)
+    monkeypatch.setattr(grs, "WORKERS", 1)   # units run one at a time
+    for budget in (grs.SLICE_BUDGET, 1, 3 * (len(helpers) + spec.r)):
+        monkeypatch.setattr(grs, "SLICE_BUDGET", budget)
+        words.clear()
+        restored, _ = center_repair(pl, payloads)
+        assert all(np.array_equal(restored[j], columns[:, j - 1]) for j in failed)
+        assert words == [f.group_count // f.copies for f in pl.families], budget
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
