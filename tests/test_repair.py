@@ -1,9 +1,11 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
-from msrcodes.constructions import build, encode, encode_blocks, node_points, random_data
+from msrcodes.constructions import (build, encode, encode_blocks, mds_reconstruct, node_points,
+                                    random_data, verify_planes)
 from msrcodes.errors import ParameterError
 from msrcodes.mixedradix import CoordinateSystem
 from msrcodes.repair import (HelperPayload, center_repair, helper_aggregate,
@@ -385,3 +387,55 @@ def test_one_code_repairs_every_pattern_optimally(family, n, k):
             assert t.total == t.gamma == d * h * spec.ell // (d - k + h) and t.uniform
             for j in H:
                 assert np.array_equal(restored[j], cw.column(j)), (h, d, H, R)
+
+
+DIGIT_CASES = [  # spec, then (failed, helpers, pattern) per repair
+    (("c1", 8, 4, [(1, 6), (1, 7)]),
+     [([2], [1, 3, 4, 5, 6, 7], (1, 6)), ([8], [1, 2, 3, 4, 5, 6, 7], (1, 7))]),
+    (("c4", 6, 2, [(1, 3), (2, 4), (3, 3)]),
+     [([6], [1, 2, 3], (1, 3)), ([2, 5], [1, 3, 4, 6], (2, 4)), ([1, 3, 5], [2, 4, 6], (3, 3))]),
+    (("hadamard", 8, 4, [(3, 5)]), [([2, 5, 7], [1, 3, 4, 6, 8], (3, 5))]),
+]
+
+
+def _digit_case_outputs():
+    out = []
+    for args, repairs in DIGIT_CASES:
+        spec = build(*args)
+        cols = encode_blocks(spec, random_data(spec, np.random.default_rng(12), blocks=2))
+        last = list(range(spec.n - spec.k + 1, spec.n + 1))
+        bad = cols.copy()
+        bad[-1, -1, -1] = (bad[-1, -1, -1] + 1) % spec.field.p
+        out += [cols, mds_reconstruct(spec, last, cols[0, [j - 1 for j in last]]).columns,
+                verify_planes(spec, cols), verify_planes(spec, bad)]
+        for failed, helpers, pattern in repairs:
+            pl = plan(spec, failed, helpers, pattern)
+            payloads = [helper_aggregate(pl, j, cols[:, j - 1]) for j in helpers]
+            restored, transcript = center_repair(pl, payloads)
+            out += [f.agg_tau for f in pl.families] + [pay.values for pay in payloads]
+            out += [restored[j] for j in failed] + [transcript.to_json()]
+    return out
+
+
+def test_no_per_symbol_path_divides_for_its_digits(monkeypatch):
+    # CoordinateSystem keeps one digit implementation, digit_table, which
+    # builds every a's digits without a division; encode, decode,
+    # verify_planes, the plan and the center all read it, and agree with a
+    # floor-divide expansion put in its place
+    assert not any(hasattr(CoordinateSystem, name) for name in ("digit", "digits"))
+    before = _digit_case_outputs()
+    assert before[2] and not before[3]
+    callers = set()
+
+    def divided(self, positions=None):
+        callers.add(sys._getframe(1).f_code.co_name)
+        positions = range(1, self.ndigits + 1) if positions is None else positions
+        a = np.arange(self.a_count)
+        return np.array([a // self.base ** (i - 1) % self.base for i in positions], dtype=np.uint8)
+
+    monkeypatch.setattr(CoordinateSystem, "digit_table", divided)
+    after = _digit_case_outputs()
+    assert {"complete_columns", "erasure_table", "verify_planes", "plan", "_orbit_family",
+            "repair_columns"} <= callers
+    assert len(after) == len(before)
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))
