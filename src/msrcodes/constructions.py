@@ -28,6 +28,7 @@ s.  Nodes, digit positions and pattern indices are 1-based throughout.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict, Optional, Sequence
@@ -222,14 +223,12 @@ def erasure_table(spec: CodeSpec, slot_nodes: Sequence[int], known_nodes: Sequen
 
 
 def erasure_operator(spec: CodeSpec, table: np.ndarray, slot_digits, known_digits):
-    """Per-word operators (e, m, L) read from an erasure_table, given the
-    digit of each distinct slot node (q arrays (L,), none for a one-row
-    table such as verify_planes' power table) and each known node's (m
-    arrays), in any integer dtype (digit tables are uint8).  The row index
-    is built in int64, since s_m^(q+1) may pass 255, under NEP 50 and numpy
-    1.x promotion alike."""
-    e, m, _ = table.shape
-    s_m = spec.s_m
+    """Per-word operators (e, m, L) read from an erasure_table, given the digit
+    of each distinct slot node (q arrays (L,); none for a table without slot
+    nodes) and each known node's (m arrays), in any integer dtype (digit
+    tables are uint8).  The row index is built in int64, since s_m^(q+1) may
+    pass 255, under NEP 50 and numpy 1.x promotion alike."""
+    (e, m, _), s_m = table.shape, spec.s_m
     row = np.zeros(len(known_digits[0]), dtype=np.int64)
     idx = np.empty_like(row)
     for u, dig in enumerate(slot_digits):
@@ -243,18 +242,41 @@ def erasure_operator(spec: CodeSpec, table: np.ndarray, slot_digits, known_digit
     return op
 
 
+def apply_table(spec: CodeSpec, table: np.ndarray, slot_nodes: Sequence[int],
+                known_nodes: Sequence[int], base, values, into) -> None:
+    """The one solve loop.  values are the known slots' (B, U, G) arrays, in
+    known_nodes order (word g, copy u, block b), and word g's operator is read
+    from table (an erasure_table for slot_nodes and known_nodes, or one laid
+    out alike) at the nodes' digits of its base plane base[g] (g if base is
+    None).  Each unit of grs.units builds it once, with erasure_operator, and
+    applies it to the U copies with apply_operator, into the e arrays that
+    the context into(b0, b1, g0, g1) yields.  into runs inside the unit, so
+    it obeys grs.each's rules: disjoint outputs and no traced names."""
+    nodes = list(dict.fromkeys(slot_nodes))
+    digits, q = spec.coords.digit_table(nodes + list(known_nodes)), len(nodes)
+    (e, m, _), (B, U, G) = table.shape, values[0].shape
+
+    def unit(words, blocks):
+        g0, g1 = words
+        dig = digits[:, g0:g1] if base is None else np.take(digits, base[g0:g1], axis=1)
+        op = erasure_operator(spec, table, dig[:q], dig[q:])
+        for b0, b1 in blocks:
+            with into(b0, b1, g0, g1) as out:
+                apply_operator(spec.field.p, op, [v[b0:b1, :, g0:g1] for v in values], out)
+
+    each(unit, units(B, G, U * (m + e), e * m))
+
+
 def complete_columns(spec: CodeSpec, known_nodes: Sequence[int],
                      known: np.ndarray) -> np.ndarray:
     """Fill the remaining r node columns so every plane's checks vanish.
 
     known: (B, k, ell) integers for the 1-based known_nodes, reduced mod p
     only if an entry lies outside [0, p).  Returns (B, n, ell).  Exactly k
-    known nodes are required; a plane's r erased symbols are then its erasure
-    operator applied to its k known ones.  erasure_table builds the table
-    of operators once, and each unit of grs.units (run by grs.each) reads its
-    planes' operators from it and applies them in place on its part of out.
-    """
-    n, k, r, p = spec.n, spec.k, spec.r, spec.field.p
+    known nodes are required; a plane's r erased symbols are then the width-1
+    repair of its k known ones, which apply_table solves in place on the
+    (B, n, S, A) view of out (tau = b*A + a): words a < A, copies b < S."""
+    n, k = spec.n, spec.k
     nodes = [int(j) for j in known_nodes]
     if len(nodes) != k or len(set(nodes)) != k:
         raise ParameterError(f"need exactly {k} distinct node indices")
@@ -263,30 +285,21 @@ def complete_columns(spec: CodeSpec, known_nodes: Sequence[int],
     known = np.asarray(known)
     if known.ndim == 2:
         known = known[None]
-    B = known.shape[0]
     if known.shape[1:] != (k, spec.ell):
         raise ParameterError(f"expected data shape (k={k}, ell={spec.ell})")
 
     # reduced in known's own dtype: a u64 entry >= 2^63 is not read as negative
     known = spec.field.residues(known)
-    out = np.empty((B, n, spec.ell), dtype=np.int64)
+    out = np.empty((known.shape[0], n, spec.ell), dtype=np.int64)
     for i, j in enumerate(nodes):
         out[:, j - 1] = known[:, i]
     kept = sorted(nodes)
     erased = [j for j in range(1, n + 1) if j not in nodes]
-    table = erasure_table(spec, erased, kept)
-    digits, A, S = spec.coords.digit_table(erased + kept), spec.s_m**n, spec.s
-    # column layout: tau = b*A + a  ->  (B, n, S, A), a view of out
-    planes = out.reshape(B, n, S, A)
-
-    def work(words, blocks):
-        a0, a1 = words
-        op = erasure_operator(spec, table, digits[:r, a0:a1], digits[r:, a0:a1])
-        for b0, b1 in blocks:
-            apply_operator(p, op, [planes[b0:b1, j - 1, :, a0:a1] for j in kept],
-                           [planes[b0:b1, j - 1, :, a0:a1] for j in erased])
-
-    each(work, units(B, A, n * S, r * k))
+    planes = out.reshape(-1, n, spec.s, spec.coords.a_count)
+    apply_table(spec, erasure_table(spec, erased, kept), erased, kept, None,
+                [planes[:, j - 1] for j in kept],
+                lambda b0, b1, g0, g1: nullcontext([planes[b0:b1, j - 1, :, g0:g1]
+                                                    for j in erased]))
     return out
 
 
@@ -313,28 +326,24 @@ def verify_planes(spec: CodeSpec, columns: np.ndarray) -> bool:
     cols = np.asarray(columns)
     if cols.ndim == 2:
         cols = cols[None]
-    B = cols.shape[0]
     if cols.shape[1:] != (spec.n, spec.ell):
         raise ParameterError("column array shape mismatch")
-    n, r, p, A, S = spec.n, spec.r, spec.field.p, spec.s_m**spec.n, spec.s
-    cols = spec.field.residues(cols)
-    planes = cols.reshape(B, n, S, A)
-    digits = spec.coords.digit_table()
+    n, r, S = spec.n, spec.r, spec.s
+    planes = spec.field.residues(cols).reshape(-1, n, S, spec.coords.a_count)
     # the checks as a one-row erasure table: table[t, j, c] = lam[j, c]^t, so
     # a plane's operator op[t, j] is (point of node j)^t
     table = np.stack([spec.field.pow(spec.lam_array(), t) for t in range(r)])
+    nonzero = []
 
-    def vanish(words, blocks):
-        a0, a1 = words
-        op = erasure_operator(spec, table, [], digits[:, a0:a1])
-        for b0, b1 in blocks:
-            syn = np.empty((r, b1 - b0, S, a1 - a0), dtype=np.int64)
-            apply_operator(p, op, np.moveaxis(planes[b0:b1, ..., a0:a1], 1, 0), syn)
-            if syn.any():
-                return False
-        return True
+    @contextmanager
+    def syndromes(b0, b1, g0, g1):
+        syn = np.empty((r, b1 - b0, S, g1 - g0), dtype=np.int64)
+        yield syn
+        nonzero.append(syn.any())
 
-    return all(each(vanish, units(B, A, n * S, r * n)))
+    apply_table(spec, table, [], range(1, n + 1), None,
+                [planes[:, j] for j in range(n)], syndromes)
+    return not any(nonzero)
 
 
 def random_data(spec: CodeSpec, rng: np.random.Generator, blocks: Optional[int] = None) -> np.ndarray:

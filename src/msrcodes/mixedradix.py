@@ -8,10 +8,10 @@ expressions stay transcribable.
 
 This module is the one home of the digit arithmetic.  Every per-symbol path
 reads digits from CoordinateSystem.digit_table, a uint8 table of every a's
-digits built without a division: the encoder's and decoder's planes slice
-it, the repair plan's shifts (shift_digits) and the center's base planes
-(a < a_count) gather from it, and erasure_table takes its rows' digit tuples
-from it.
+digits built without a division: constructions.apply_table takes it at
+each word's base plane (encode, decode, verify_planes and the center), the
+repair plan's shifts (shift_digits) gather from it, and erasure_table takes
+its rows' digit tuples from it.
 """
 
 from __future__ import annotations

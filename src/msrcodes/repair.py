@@ -16,13 +16,11 @@ A plan stores only each group's aggregation coordinates (agg_tau), slot-major:
 agg_tau[:, w] is contiguous, so a helper sums its column over a family with
 one take per slot and one reduction (grs.mod_p, a division by the scalar p,
 not an integer %).  A family's groups are U block copies of G orbits, and
-a group's operator depends only on its base plane, so the solve builds one
-operator per base plane, from one take of a uint8 digit table
-(CoordinateSystem.digit_table) there and an erasure table keyed by the
-erased nodes' digits (a member's slot w holds its digit plus w).  Its slots
-are in one fixed order: known slots are the helpers ascending; erased slots
-are the members' (j, w) slots, then the other non-helpers ascending.  The
-helpers' payloads enter the solve as they are, with no copy.
+its slots are in one fixed order: known slots are the helpers ascending;
+erased slots are the members' (j, w) slots (slot w holds the member's digit
+plus w), then the other non-helpers ascending.  Step 1 is then one
+constructions.apply_table call per family on the helpers' payloads as they
+are; a plain MDS decode is the same call with width 1, h = r and d = k.
 Families with more than one member set (C3, C4, Hadamard) run a second,
 download-free step: each remaining coordinate of a failed node equals its
 recovered group sum minus symbols already known from step 1.
@@ -46,16 +44,18 @@ Group ordering is deterministic: families in partition order, groups by
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from . import audit
-from .constructions import CodeSpec, Family, erasure_operator, erasure_table
+from .constructions import CodeSpec, Family, apply_table, erasure_table
 from .errors import ParameterError
-from .grs import apply_operator, each, mod_p, units
-from .grs import solve_vandermonde, syndrome_rhs  # noqa: F401  perfbench's tracer rebinds them
+from .grs import each, mod_p, units
+# perfbench's BINDINGS look these kernels up here; repair calls neither
+from .grs import solve_vandermonde, syndrome_rhs  # noqa: F401
 from .hamming import syndromes
 
 
@@ -264,16 +264,13 @@ def repair_columns(plan_: RepairPlan, payloads: Sequence[np.ndarray]) -> np.ndar
 
     payloads holds the d helpers' (B, per_helper) residue arrays, in helper
     order.  A group's r erased slots are its (r x d) erasure operator applied
-    to the d helper sums.  The operator depends only on the digits of the
-    distinct erased nodes (an erasure table row) and of the helpers at the
-    group's base plane, so erasure_table builds one table per family, and
-    each unit of grs.units (run by grs.each) reads the operators of its base
-    planes from it, with one take of the family's digit table at the base
-    planes a = agg_tau[g, 0] (copy 0 lies in block 0), and applies each one
-    in place to its U copies.
+    to the d helper sums, and it depends only on the group's base plane
+    a = agg_tau[g, 0] (copy 0 lies in block 0).  So each family is one
+    erasure_table and one apply_table over (B, U, G) views of the payloads;
+    each unit scatters its buffer to the restored columns and the sums.
     """
     spec, helpers, r = plan_.spec, plan_.helpers, plan_.spec.r
-    p, d, B = spec.field.p, len(helpers), payloads[0].shape[0]
+    p, B = spec.field.p, payloads[0].shape[0]
     restored = np.zeros((len(plan_.failed), B, spec.ell), dtype=np.int64)
     node_row = {j: i for i, j in enumerate(plan_.failed)}
 
@@ -284,28 +281,22 @@ def repair_columns(plan_: RepairPlan, payloads: Sequence[np.ndarray]) -> np.ndar
         slots = [(j, w) for j in fam.members for w in range(fam.width)]
         slots += [(j, None) for j in fam.others if j not in helpers]
         erased = [j for j, _ in slots]
-        table = erasure_table(spec, erased, helpers)
-        # digit rows: erasure_table's distinct erased nodes, then the helpers
-        nodes = list(dict.fromkeys(erased)) + list(helpers)
-        digit_table, taus = spec.coords.digit_table(nodes), fam.agg_tau.reshape(U, G, -1)
-        pays = [pl[:, start:start + U * G].reshape(B, U, G) for pl in payloads]
+        taus = fam.agg_tau.reshape(U, G, -1)
         fam_sums = {j: np.empty((B, U, G), dtype=np.int64)
                     for j, w in slots if w is None and j in node_row}
 
-        def solve(groups, blocks):
-            g0, g1 = groups
-            dig = np.take(digit_table, taus[0, g0:g1, 0], axis=1)
-            op = erasure_operator(spec, table, dig[:-d], dig[-d:])
-            for b0, b1 in blocks:
-                x = np.empty((r, b1 - b0, U, g1 - g0), dtype=np.int64)
-                apply_operator(p, op, [pl[b0:b1, :, g0:g1] for pl in pays], x)
-                for (j, w), xu in zip(slots, x):
-                    if w is not None:
-                        restored[node_row[j]][b0:b1, taus[:, g0:g1, w]] = xu
-                    elif j in fam_sums:
-                        fam_sums[j][b0:b1, :, g0:g1] = xu
+        @contextmanager
+        def scatter(b0, b1, g0, g1):
+            x = np.empty((r, b1 - b0, U, g1 - g0), dtype=np.int64)
+            yield x
+            for (j, w), xu in zip(slots, x):
+                if w is not None:
+                    restored[node_row[j]][b0:b1, taus[:, g0:g1, w]] = xu
+                elif j in fam_sums:
+                    fam_sums[j][b0:b1, :, g0:g1] = xu
 
-        each(solve, units(B, G, U * (d + r), r * d))
+        apply_table(spec, erasure_table(spec, erased, helpers), erased, helpers, taus[0, :, 0],
+                    [pl[:, start:start + U * G].reshape(B, U, G) for pl in payloads], scatter)
         sums += [(fam, j, acc.reshape(B, -1)) for j, acc in fam_sums.items()]
         start += fam.group_count
 

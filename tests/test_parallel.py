@@ -196,8 +196,7 @@ def test_no_traced_name_runs_off_the_main_thread(monkeypatch, tmp_path):
             return _fn(*args)
         monkeypatch.setattr(storage, attr, seen_shard)
     unit_threads = set()   # threads that ran a unit's arithmetic
-    for mod, attr in ((constructions, "apply_operator"), (repair, "apply_operator"),
-                      (repair, "mod_p")):
+    for mod, attr in ((constructions, "apply_operator"), (repair, "mod_p")):
         def seen(*args, _fn=getattr(mod, attr)):
             unit_threads.add(threading.current_thread())
             return _fn(*args)

@@ -4,12 +4,13 @@ import sys
 import numpy as np
 import pytest
 
-from msrcodes.constructions import (build, encode, encode_blocks, mds_reconstruct, node_points,
-                                    random_data, verify_planes)
+from msrcodes import audit
+from msrcodes.constructions import (build, complete_columns, encode, encode_blocks,
+                                    mds_reconstruct, node_points, random_data, verify_planes)
 from msrcodes.errors import ParameterError
 from msrcodes.mixedradix import CoordinateSystem
-from msrcodes.repair import (HelperPayload, center_repair, helper_aggregate,
-                             plan, repair_from_codeword)
+from msrcodes.repair import (HelperPayload, RepairPlan, _orbit_family, center_repair,
+                             helper_aggregate, plan, repair_columns, repair_from_codeword)
 
 
 def all_patterns(n, k):
@@ -419,9 +420,9 @@ def _digit_case_outputs():
 
 def test_no_per_symbol_path_divides_for_its_digits(monkeypatch):
     # CoordinateSystem keeps one digit implementation, digit_table, which
-    # builds every a's digits without a division; encode, decode,
-    # verify_planes, the plan and the center all read it, and agree with a
-    # floor-divide expansion put in its place
+    # builds every a's digits without a division; apply_table (encode,
+    # decode, verify_planes and the center), erasure_table and the plan all
+    # read it, and agree with a floor-divide expansion put in its place
     assert not any(hasattr(CoordinateSystem, name) for name in ("digit", "digits"))
     before = _digit_case_outputs()
     assert before[2] and not before[3]
@@ -435,7 +436,37 @@ def test_no_per_symbol_path_divides_for_its_digits(monkeypatch):
 
     monkeypatch.setattr(CoordinateSystem, "digit_table", divided)
     after = _digit_case_outputs()
-    assert {"complete_columns", "erasure_table", "verify_planes", "plan", "_orbit_family",
-            "repair_columns"} <= callers
+    assert {"apply_table", "erasure_table", "plan", "_orbit_family"} <= callers
     assert len(after) == len(before)
     assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+
+SPECS = {  # name: (family, n, k, patterns)
+    "c1": ("c1", 5, 2, [(1, 3), (1, 4)]),
+    "c2": ("c2", 6, 2, [(1, 3), (2, 4)]),
+    "c3": ("c3", 6, 2, [(2, 4)]),
+    "c4": ("c4", 6, 2, [(1, 3), (2, 4), (3, 3)]),
+    "hadamard": ("hadamard", 8, 4, [(3, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_decoding_is_the_width_one_repair(name):
+    # an MDS decode from k nodes is the (h, d) = (r, k) repair: one slot per
+    # erased node, every plane its own orbit in each of the s b-blocks, and
+    # each helper sends its own column, so beta = ell and gamma = k*ell
+    spec = build(*SPECS[name])
+    n, k, r, ell = spec.n, spec.k, spec.r, spec.ell
+    cols = encode_blocks(spec, random_data(spec, np.random.default_rng(14), blocks=2))
+    beta, gamma = audit.cut_set(r, k, k, ell)
+    for kept in itertools.combinations(range(1, n + 1), k):
+        erased = tuple(j for j in range(1, n + 1) if j not in kept)
+        fam = _orbit_family(spec, 1, erased, kept, np.arange(spec.coords.a_count),
+                            np.arange(spec.s)[:, None])
+        pl = RepairPlan(spec=spec, pattern=(r, k), failed=erased, helpers=kept,
+                        partition=(erased,), families=[fam], per_helper=fam.group_count,
+                        beta=beta, gamma=gamma)
+        assert pl.per_helper == beta == ell and gamma == k * ell
+        restored = repair_columns(pl, [cols[:, j - 1] for j in kept])
+        decoded = complete_columns(spec, kept, cols[:, [j - 1 for j in kept]])
+        assert np.array_equal(restored, decoded[:, [j - 1 for j in erased]].swapaxes(0, 1)), kept

@@ -19,6 +19,7 @@ REMOVED = [
     (constructions, ("assign_lambda",)),
     (hamming, ("CosetPartition", "build_partition", "syndrome_of", "_to_int")),
     (mixedradix.CoordinateSystem, ("digit", "digits")),
+    (repair, ("erasure_operator", "apply_operator")),
 ]
 
 

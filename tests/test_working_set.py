@@ -164,7 +164,7 @@ def test_repair_builds_one_operator_per_base_plane(monkeypatch, name, failed, he
     columns = encode_blocks(spec, random_data(spec, np.random.default_rng(6), blocks=1))
     pl = plan(spec, failed, helpers, pattern)
     payloads = [helper_aggregate(pl, j, columns[:, j - 1]) for j in pl.helpers]
-    words, real_table, real_operator = [], repair.erasure_table, repair.erasure_operator
+    words, real_table, real_operator = [], repair.erasure_table, constructions.erasure_operator
 
     def erasure_table(*args):
         words.append(0)   # one table per family
@@ -175,7 +175,7 @@ def test_repair_builds_one_operator_per_base_plane(monkeypatch, name, failed, he
         return real_operator(spec, table, slot_digits, known_digits)
 
     monkeypatch.setattr(repair, "erasure_table", erasure_table)
-    monkeypatch.setattr(repair, "erasure_operator", erasure_operator)
+    monkeypatch.setattr(constructions, "erasure_operator", erasure_operator)
     monkeypatch.setattr(grs, "WORKERS", 1)   # units run one at a time
     for budget in (grs.SLICE_BUDGET, 1, 3 * (len(helpers) + spec.r)):
         monkeypatch.setattr(grs, "SLICE_BUDGET", budget)
@@ -183,6 +183,40 @@ def test_repair_builds_one_operator_per_base_plane(monkeypatch, name, failed, he
         restored, _ = center_repair(pl, payloads)
         assert all(np.array_equal(restored[j], columns[:, j - 1]) for j in failed)
         assert words == [f.group_count // f.copies for f in pl.families], budget
+
+
+@pytest.mark.parametrize("name, failed, helpers, pattern", REPAIRS)
+def test_one_engine_applies_every_table(monkeypatch, name, failed, helpers, pattern):
+    # encode, decode, verify_planes and each repair family read and apply
+    # their operators in one constructions.apply_table call each
+    spec = build(*SPECS[name])
+    data = random_data(spec, np.random.default_rng(8), blocks=BLOCKS)
+    calls, real = [], constructions.apply_table
+
+    def apply_table(*args):
+        calls.append(args[3])   # the known nodes
+        return real(*args)
+
+    for module in (constructions, repair):   # every module that binds the name
+        monkeypatch.setattr(module, "apply_table", apply_table)
+    encoded = encode_blocks(spec, data)
+    assert calls == [list(range(1, spec.k + 1))]
+    kept = [j for j in range(1, spec.n + 1) if j not in failed][:spec.k]
+    calls.clear()
+    assert np.array_equal(complete_columns(spec, kept, encoded[:, [j - 1 for j in kept]]), encoded)
+    assert calls == [kept]
+    bad = encoded.copy()
+    bad[-1, -1, -1] = (bad[-1, -1, -1] + 1) % spec.field.p
+    for columns, good in ((encoded, True), (bad, False)):
+        calls.clear()
+        assert verify_planes(spec, columns) is good
+        assert len(calls) == 1
+    pl = plan(spec, failed, helpers, pattern)
+    payloads = [helper_aggregate(pl, j, encoded[:, j - 1]) for j in pl.helpers]
+    calls.clear()
+    restored, _ = center_repair(pl, payloads)
+    assert all(np.array_equal(restored[j], encoded[:, j - 1]) for j in failed)
+    assert calls == [pl.helpers] * len(pl.families)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
