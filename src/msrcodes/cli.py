@@ -43,7 +43,10 @@ def _ints(text: str, flag: str) -> list:
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("MSR_SEED", "0"))
+    try:
+        return int(os.environ.get("MSR_SEED", "0"))
+    except ValueError as exc:  # int() names the value
+        raise ParameterError(f"MSR_SEED: {exc}") from None
 
 
 def _parse_pattern_args(args) -> list:

@@ -182,10 +182,8 @@ class Codeword:
 
 def node_points(spec: CodeSpec, nodes: Sequence[int], a) -> np.ndarray:
     """points[i, ...] = lambda_{nodes[i], a_{nodes[i]}} for plane indices a
-    of any shape; shape (len(nodes),) + a.shape.
-
-    The one place a (node, plane) pair becomes its evaluation point.
-    """
+    of any shape; shape (len(nodes),) + a.shape.  The codec reads digit-keyed
+    erasure tables instead: this is the reference the tests and demo 01 use."""
     lam = spec.lam_array()
     digits = spec.coords.digit_table(nodes)
     a = np.asarray(a, dtype=np.int64)
@@ -198,15 +196,15 @@ def node_points(spec: CodeSpec, nodes: Sequence[int], a) -> np.ndarray:
 def erasure_table(spec: CodeSpec, slot_nodes: Sequence[int], known_nodes: Sequence[int]):
     """The operators of every word with e erased slots (on nodes slot_nodes;
     a node may hold up to s_m of them) and m known nodes, from one call of the
-    kernels, laid out (e, m, s_m^q * s_m) for erasure_operator, where q is the
-    number of distinct slot nodes.
+    kernels, laid out (e, m, s_m^q * s_m) for grs.apply_operator, where q is
+    the number of distinct slot nodes.
 
     Row t = sum_u t_u * s_m^u puts the u-th distinct slot node, in first-seen
     order, at digit t_u; its v-th slot holds digit t_u + v (mod s_m), as in a
     repair orbit, so no row repeats a point.  Column i*s_m + c is known node i
     at digit c.  Entry [u, i, t*s_m + c] is then operator entry (u, i) of row
     t at known digit c, so every entry (u, i) is one contiguous row that
-    erasure_operator reads with a 1-D take."""
+    apply_operator reads with a 1-D take at index t*s_m + c."""
     s_m, lam, slot_nodes = spec.s_m, spec.lam_array(), list(slot_nodes)
     nodes = list(dict.fromkeys(slot_nodes))
     digits = CoordinateSystem(s_m, len(nodes)).digit_table()
@@ -222,36 +220,17 @@ def erasure_table(spec: CodeSpec, slot_nodes: Sequence[int], known_nodes: Sequen
         table.reshape(rows, e, m, s_m).transpose(1, 2, 0, 3)).reshape(e, m, -1)
 
 
-def erasure_operator(spec: CodeSpec, table: np.ndarray, slot_digits, known_digits):
-    """Per-word operators (e, m, L) read from an erasure_table, given the digit
-    of each distinct slot node (q arrays (L,); none for a table without slot
-    nodes) and each known node's (m arrays), in any integer dtype (digit
-    tables are uint8).  The row index is built in int64, since s_m^(q+1) may
-    pass 255, under NEP 50 and numpy 1.x promotion alike."""
-    (e, m, _), s_m = table.shape, spec.s_m
-    row = np.zeros(len(known_digits[0]), dtype=np.int64)
-    idx = np.empty_like(row)
-    for u, dig in enumerate(slot_digits):
-        row += np.multiply(dig, s_m ** (u + 1), out=idx, dtype=np.int64)
-    op = np.empty((e, m, len(row)), dtype=np.int64)
-    for i, dig in enumerate(known_digits):
-        np.add(row, dig, out=idx)
-        for u in range(e):
-            # mode="clip" writes into op unbuffered; idx lies in the row
-            np.take(table[u, i], idx, out=op[u, i], mode="clip")
-    return op
-
-
 def apply_table(spec: CodeSpec, table: np.ndarray, slot_nodes: Sequence[int],
                 known_nodes: Sequence[int], base, values, into) -> None:
     """The one solve loop.  values are the known slots' (B, U, G) arrays, in
-    known_nodes order (word g, copy u, block b), and word g's operator is read
-    from table (an erasure_table for slot_nodes and known_nodes, or one laid
+    known_nodes order (word g, copy u, block b), and word g's operator lies
+    in table (an erasure_table for slot_nodes and known_nodes, or one laid
     out alike) at the nodes' digits of its base plane base[g] (g if base is
-    None).  Each unit of grs.units builds it once, with erasure_operator, and
-    applies it to the U copies with apply_operator, into the e arrays that
-    the context into(b0, b1, g0, g1) yields.  into runs inside the unit, so
-    it obeys grs.each's rules: disjoint outputs and no traced names."""
+    None).  Each unit of grs.units finds its words' rows once; apply_operator
+    reads and applies the operators, per block range, to the U copies into
+    the e arrays that the context into(b0, b1, g0, g1) yields.  into runs
+    inside the unit, so it obeys grs.each's rules: disjoint outputs and no
+    traced names."""
     nodes = list(dict.fromkeys(slot_nodes))
     digits, q = spec.coords.digit_table(nodes + list(known_nodes)), len(nodes)
     (e, m, _), (B, U, G) = table.shape, values[0].shape
@@ -259,12 +238,14 @@ def apply_table(spec: CodeSpec, table: np.ndarray, slot_nodes: Sequence[int],
     def unit(words, blocks):
         g0, g1 = words
         dig = digits[:, g0:g1] if base is None else np.take(digits, base[g0:g1], axis=1)
-        op = erasure_operator(spec, table, dig[:q], dig[q:])
+        # table rows sum_u slot digit_u * s_m^(u+1) + known digit, in int64:
+        # digit tables are uint8, and s_m^(q+1) may pass 255
+        rows = dig[q:] + spec.s_m ** np.arange(1, q + 1) @ dig[:q]
         for b0, b1 in blocks:
             with into(b0, b1, g0, g1) as out:
-                apply_operator(spec.field.p, op, [v[b0:b1, :, g0:g1] for v in values], out)
+                apply_operator(spec.field.p, table, rows, [v[b0:b1, :, g0:g1] for v in values], out)
 
-    each(unit, units(B, G, U * (m + e), e * m))
+    each(unit, units(B, G, U * (m + e), m))
 
 
 def complete_columns(spec: CodeSpec, known_nodes: Sequence[int],

@@ -8,12 +8,13 @@ points.  The two batched kernels build operators, not decode words:
 syndrome_rhs moves known entries to the right-hand side, and
 solve_vandermonde fills the erased ones, so on an identity right-hand side
 they give the columns of C (constructions.erasure_table lays them out).
-apply_operator applies per-word operators in place.  Every kernel loop cuts
-its words and blocks into units(), at most SLICE_BUDGET = 2^20 elements each
-(measured at the constant) and a multiple of WORKERS of them, which each()
-runs on a pool of WORKERS threads.  Per-symbol arrays are reduced with mod_p,
-a floor division by the scalar p, never with an integer % p: numpy has a fast
-path for the former only.
+apply_operator reads each word's operator straight from such a table and
+applies it in place.  Every kernel loop cuts its words and blocks into
+units(), at most SLICE_BUDGET = 2^20 elements each (measured at the
+constant) and a multiple of WORKERS of them, which each() runs on a pool of
+WORKERS threads.  Per-symbol arrays are reduced with mod_p, a floor division
+by the scalar p, never with an integer % p: numpy has a fast path for the
+former only.
 
 Both kernels take one shape: points (G, m), one row of distinct points per
 word, and values or rhs (G, m, R), R right-hand sides per word.  Elimination
@@ -52,10 +53,10 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 def units(blocks: int, count: int, per_item: int, op_per_item: int = 0) -> list:
     """Units ((w0, w1), block ranges) over `blocks` blocks of `count` words,
     for each().  A word holds per_item elements per block and op_per_item
-    operator elements.  Blocks first: while one block and its operators fit
+    table rows in all.  Blocks first: while one block and its rows fit
     SLICE_BUDGET, a unit is every word over a run of whole blocks, else a
     range of words over every block, one at a time.  Either way a unit's
-    operators and one block range's words fit the budget when one item does.
+    rows and one block range's words fit the budget when one item does.
     The unit count is the fewest that fit, rounded up to a multiple of
     WORKERS but to no more units than items, and the units are near-equal.
     They cover disjoint (word, block) pairs, so each() may run them in any
@@ -118,20 +119,26 @@ def mod_p(acc: np.ndarray, p: int, tmp: np.ndarray) -> np.ndarray:
     return acc
 
 
-def apply_operator(p: int, op: np.ndarray, values, out) -> None:
-    """out[u] = sum_i op[u, i] * values[i] (mod p) in place; op (U, I, L)
-    broadcasts along the last axis of the residue arrays values[i] and out[u].
-    The reduction is deferred: a carry below p plus `fold` products of at most
-    (p-1)^2 stay <= 2^63 - 1, so it runs mod_p once per `fold` terms (2^47 at
-    p = 257, which no word reaches; 2 at p = 2^31 - 1) and once at the end."""
+def apply_operator(p: int, table: np.ndarray, rows, values, out) -> None:
+    """out[u] = sum_i table[u, i][rows[i]] * values[i] (mod p) in place.  Each
+    entry is gathered into one reused (L,) buffer that broadcasts along the
+    last axis of the residue arrays values[i] and out[u].  The reduction is
+    deferred: a carry below p plus `fold` products of at most (p-1)^2 stay
+    <= 2^63 - 1, so it runs mod_p once per `fold` terms (2^47 at p = 257,
+    which no word reaches; 2 at p = 2^31 - 1) and once at the end."""
     fold = (2**63 - p) // (p - 1) ** 2
     tmp = np.empty_like(out[0])
+    coef = np.empty(len(rows[0]), dtype=table.dtype)
     for u, acc in enumerate(out):
-        np.multiply(op[u, 0], values[0], out=acc)
-        for i in range(1, len(values)):
+        for i, (row, v) in enumerate(zip(rows, values)):
+            # mode="clip" writes into coef unbuffered; row lies in table[u, i]
+            np.take(table[u, i], row, out=coef, mode="clip")
+            if i == 0:
+                np.multiply(coef, v, out=acc)
+                continue
             if i % fold == 0:
                 mod_p(acc, p, tmp)
-            acc += np.multiply(op[u, i], values[i], out=tmp)
+            acc += np.multiply(coef, v, out=tmp)
         mod_p(acc, p, tmp)
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from msrcodes import storage
+from msrcodes import cli, storage
 from msrcodes.cli import main
 
 
@@ -37,6 +37,22 @@ def test_params_patterns_with_h_or_d_exits_1(capsys):
         code, out, err = run(capsys, "params", "--family", "c3", "--n", "6", "--k", "2",
                              *hd, "--patterns", "2:4")
         assert code == 1 and out == "" and "--patterns excludes --h and --d" in err
+
+
+@pytest.mark.parametrize("hd, message", [
+    (["--h", "2"], "--d is required"),
+    (["--d", "4"], "--h is required for family c3"),
+    (["--h", "1,2", "--d", "3,4,5"], "--h and --d lists differ in length"),
+])
+def test_params_pattern_flags_are_checked(hd, message, capsys):
+    code, out, err = run(capsys, "params", "--family", "c3", "--n", "6", "--k", "2", *hd)
+    assert code == 1 and out == "" and message in err
+
+
+def test_params_scalar_h_repeats_over_a_d_list(capsys):
+    code, out, _ = run(capsys, "params", "--family", "c2", "--n", "6", "--k", "2",
+                       "--h", "1", "--d", "3,4", "--json")
+    assert code == 0 and json.loads(out)["patterns"] == [[1, 3], [1, 4]]
 
 
 def test_params_json(capsys):
@@ -226,6 +242,38 @@ def test_verify_mds(tmp_path, capsys):
     assert info["ok"] and info["subsets"] == 10  # exhaustive: C(5,2)
 
 
+def test_verify_mds_checks_exactly_samples_distinct_seeded_subsets(tmp_path, capsys,
+                                                                   monkeypatch):
+    cluster = tmp_path / "cl"
+    run(capsys, "encode", "--family", "c1", "--n", "5", "--k", "2", "--d", "3,4",
+        "--cluster", str(cluster), "--blocks", "1")
+    seen, real = [], cli.mds_reconstruct
+
+    def record(spec, nodes, columns):
+        seen.append(tuple(nodes))
+        return real(spec, nodes, columns)
+
+    monkeypatch.setattr(cli, "mds_reconstruct", record)
+    runs = []
+    for seed in ("4", "4", "5"):
+        seen.clear()
+        code, out, _ = run(capsys, "verify-mds", "--manifest", str(cluster / "manifest.json"),
+                           "--samples", "3", "--seed", seed, "--json")
+        assert code == 0 and json.loads(out)["subsets"] == 3
+        assert len(set(seen)) == 3 and all(len(set(s)) == 2 for s in seen)
+        runs.append(list(seen))
+    assert runs[0] == runs[1] != runs[2]
+
+
+def test_repair_of_no_nodes_is_nothing_to_repair(tmp_path, capsys):
+    cluster = tmp_path / "cl"
+    run(capsys, "encode", "--family", "c3", "--n", "6", "--k", "2",
+        "--h", "2", "--d", "4", "--cluster", str(cluster), "--blocks", "1")
+    code, out, _ = run(capsys, "repair", "--cluster", str(cluster), "--nodes", "",
+                       "--helpers", "3,4,5,6", "--h", "2", "--d", "4")
+    assert code == 0 and out == "nothing to repair\n"
+
+
 def test_verify_mds_rejects_fewer_than_one_sample(tmp_path, capsys):
     cluster = tmp_path / "cl"
     run(capsys, "encode", "--family", "c1", "--n", "5", "--k", "2", "--d", "3,4",
@@ -287,3 +335,10 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
                        "--h", "2", "--d", "4", "--cluster", str(cluster),
                        "--random-bytes", "64", "--json")
     assert code == 0 and json.loads(out)["seed"] == 9
+
+
+def test_a_malformed_env_seed_is_named(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MSR_SEED", "abc")
+    code, out, err = run(capsys, "selftest")
+    assert code == 1 and out == ""
+    assert "MSR_SEED" in err and "'abc'" in err

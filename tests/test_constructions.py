@@ -6,11 +6,12 @@ import pytest
 
 from msrcodes import audit
 from msrcodes.constructions import (build, encode,
-                                    encode_blocks, erasure_operator,
+                                    encode_blocks,
                                     manifest_dict, mds_reconstruct,
                                     random_data,
                                     spec_from_manifest, verify_planes)
 from msrcodes.errors import ParameterError
+from msrcodes.grs import apply_operator
 from msrcodes.hamming import syndromes
 from msrcodes.repair import plan
 
@@ -319,39 +320,51 @@ def _fancy_operator(spec, table, slot_digits, known_digits):
     ("c2", 8, 2, [(1, 5)]),              # s_m = 4
 ])
 def test_erasure_operator_matches_a_fancy_index_read(family, n, k, pats):
+    # apply_operator reads each word's operator from the laid-out table at
+    # rows[i] = sum_u slot digit_u * s_m^(u+1) + known digit i
     spec = build(family, n, k, pats)
-    rng = np.random.default_rng(10)
+    p, rng = spec.field.p, np.random.default_rng(10)
     for e in (1, 2, 3):
         m = n - e
-        table = rng.integers(0, spec.field.p, size=(spec.s_m**e, e, m * spec.s_m))
+        table = rng.integers(0, p, size=(spec.s_m**e, e, m * spec.s_m))
         slot_digits = list(rng.integers(0, spec.s_m, size=(e, 40)))
         known_digits = list(rng.integers(0, spec.s_m, size=(m, 40)))
-        got = erasure_operator(spec, _laid_out(spec, table), slot_digits, known_digits)
-        assert np.array_equal(got, _fancy_operator(spec, table, slot_digits, known_digits))
+        values = rng.integers(0, p, size=(m, 2, 3, 40))
+        row = sum(dig * spec.s_m ** (u + 1) for u, dig in enumerate(slot_digits))
+        out = np.empty((e, 2, 3, 40), dtype=np.int64)
+        apply_operator(p, _laid_out(spec, table), [row + dig for dig in known_digits],
+                       list(values), out)
+        op = _fancy_operator(spec, table, slot_digits, known_digits)
+        assert np.array_equal(out, np.einsum("uiw,ibcw->ubcw", op, values) % p), e
 
 
-@pytest.mark.parametrize("family, n, k, pats", [
-    ("c3", 6, 2, [(2, 4)]),              # s_m = 2
-    ("c1", 5, 2, [(1, 3), (1, 4)]),      # s_m = 3
-    ("c2", 8, 2, [(1, 5)]),              # s_m = 4
-])
-def test_erasure_operator_reads_uint8_digits_as_int64_ones(family, n, k, pats):
-    # digit tables are uint8, and a row index reaches s_m^(e+1) - 1, beyond
-    # 255 from s_m = 4, e = 3 on: under NEP 50 and numpy 1.x promotion alike
-    # the index must be built in int64
-    spec = build(family, n, k, pats)
-    rng = np.random.default_rng(11)
-    for e in (1, 2, 3, 4):
-        m = n - e
-        table = rng.integers(0, spec.field.p, size=(spec.s_m**e, e, m * spec.s_m))
-        slot_digits = rng.integers(0, spec.s_m, size=(e, 60))
-        slot_digits[:, 0] = spec.s_m - 1   # the last row of the table
-        known_digits = rng.integers(0, spec.s_m, size=(m, 60))
-        want = _fancy_operator(spec, table, list(slot_digits), list(known_digits))
-        for digits in (slot_digits, slot_digits.astype(np.uint8)):
-            for known in (known_digits, known_digits.astype(np.uint8)):
-                got = erasure_operator(spec, _laid_out(spec, table), list(digits), list(known))
-                assert np.array_equal(got, want), (e, digits.dtype, known.dtype)
+def test_a_row_index_past_255_reads_uint8_digits_as_int64():
+    # digit tables are uint8; an encode of c2(8,2,[(1,5)]) erases q = 6 nodes
+    # at s_m = 4, so its row index reaches 4^7 - 1, and so does a decode from
+    # nodes 7 and 8: apply_table must build that index in int64
+    spec = build("c2", 8, 2, [(1, 5)])
+    assert spec.s_m ** (spec.r + 1) - 1 > 255
+    data = random_data(spec, np.random.default_rng(11))
+    cw = encode(spec, data)
+    assert verify_planes(spec, cw.columns)
+    assert np.array_equal(mds_reconstruct(spec, (7, 8), cw.columns[[6, 7]]).columns,
+                          cw.columns)
+
+
+def test_reconstruct_rejects_a_node_out_of_range():
+    spec = build("c3", 6, 2, [(2, 4)])
+    cw = encode(spec, random_data(spec, np.random.default_rng(5)))
+    for nodes in ((0, 1), (1, 7)):
+        with pytest.raises(ParameterError, match="node index out of range"):
+            mds_reconstruct(spec, nodes, cw.columns[:2])
+
+
+def test_verify_planes_rejects_a_shape_mismatch():
+    spec = build("c3", 6, 2, [(2, 4)])
+    cw = encode(spec, random_data(spec, np.random.default_rng(5)))
+    for bad in (cw.columns[:5], cw.columns[:, :-1], cw.columns[None, :, :, None]):
+        with pytest.raises(ParameterError, match="column array shape mismatch"):
+            verify_planes(spec, bad)
 
 
 def test_reconstruct_requires_exactly_k():
@@ -435,6 +448,15 @@ def test_manifest_rejects_wrong_ell():
     m = manifest_dict(spec)
     m["ell"] = 64
     with pytest.raises(ParameterError):
+        spec_from_manifest(m)
+
+
+@pytest.mark.parametrize("key, value", [("format", "msr-manifest/2"),
+                                        ("lambda_rule", "row-consecutive-v2")])
+def test_manifest_rejects_an_unknown_format_or_lambda_rule(key, value):
+    m = manifest_dict(build("c3", 6, 2, [(2, 4)]))
+    m[key] = value
+    with pytest.raises(ParameterError, match=f"unknown .*{value!r}"):
         spec_from_manifest(m)
 
 

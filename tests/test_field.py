@@ -41,6 +41,20 @@ def test_nonprime_modulus_rejected():
             PrimeField(bad)
 
 
+def test_modulus_at_or_above_2_to_the_31_rejected():
+    assert is_prime(2**31 + 11)
+    with pytest.raises(ParameterError, match="too large"):
+        PrimeField(2**31 + 11)
+    assert PrimeField(2**31 - 1).p == 2**31 - 1
+
+
+def test_pow_rejects_a_negative_exponent():
+    f = PrimeField(7)
+    for x in (3, np.array([1, 2, 3])):
+        with pytest.raises(ParameterError, match="negative exponent"):
+            f.pow(x, -1)
+
+
 @pytest.mark.parametrize("p", [7, 11, 257, 65537])
 def test_field_axioms_random(p):
     f = PrimeField(p)

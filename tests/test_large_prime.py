@@ -15,6 +15,7 @@ import pytest
 
 from msrcodes import storage
 from msrcodes.constructions import build, encode_blocks, verify_planes
+from msrcodes.grs import apply_operator
 
 P = 2147483647
 BLOCKS = 5
@@ -90,3 +91,20 @@ def test_verify_planes_at_the_largest_prime(name):
     bad = cols.copy()
     bad[-1, -1, -1] = (bad[-1, -1, -1] + 1) % P
     assert not verify_planes(spec, bad)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_apply_operator_on_maximal_residues(m):
+    # fold = 2 at this prime: every operator entry and value is p - 1 or
+    # next to it, so each product is near 2^62 and the sums must be reduced
+    # every 2 terms; Python ints give the exact residues
+    assert (2**63 - P) // (P - 1) ** 2 == 2
+    e, L = 2, 4
+    table = P - 1 - np.arange(e * m * 3).reshape(e, m, 3) % 2
+    rows = [np.arange(L) % 3 for _ in range(m)]
+    values = [P - 1 - np.arange(2 * L).reshape(2, L) % 3 for _ in range(m)]
+    out = np.empty((e, 2, L), dtype=np.int64)
+    apply_operator(P, table, rows, values, out)
+    want = [[[sum(int(table[u, i, rows[i][g]]) * int(values[i][c, g]) for i in range(m)) % P
+              for g in range(L)] for c in range(2)] for u in range(e)]
+    assert out.tolist() == want

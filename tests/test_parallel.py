@@ -140,10 +140,10 @@ def test_a_kernel_raises_a_unit_exception_with_its_type(monkeypatch):
     monkeypatch.setattr(grs, "WORKERS", 3)
     spec, encoded = _codewords("c1", 5)
 
-    def erasure_operator(*args):
+    def apply_operator(*args):
         raise UnitError("from a worker")
 
-    monkeypatch.setattr(constructions, "erasure_operator", erasure_operator)
+    monkeypatch.setattr(constructions, "apply_operator", apply_operator)
     with pytest.raises(UnitError):
         encode_blocks(spec, encoded[:, :spec.k])
 

@@ -58,6 +58,16 @@ def test_plan_validation_errors():
         plan(spec, [1, 2], [3, 4, 5], (2, 3))  # unsupported pattern
     with pytest.raises(ParameterError):
         plan(spec, [1, 7], [3, 4, 5, 6], (2, 4))  # node out of range
+    for failed, helpers in (([1, 1], [3, 4, 5, 6]), ([1, 2], [3, 4, 4, 6])):
+        with pytest.raises(ParameterError, match="duplicate node index"):
+            plan(spec, failed, helpers, (2, 4))
+
+
+def test_step1_taus_of_a_node_that_has_not_failed():
+    pl = plan(build("c3", 6, 2, [(2, 4)]), [1, 2], [3, 4, 5, 6], (2, 4))
+    assert pl.step1_taus(1).size
+    with pytest.raises(ParameterError, match="node 3 is not failed"):
+        pl.step1_taus(3)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +197,9 @@ def test_aggregate_rejects_non_helper():
     pl = plan(spec, [1, 2], [3, 4, 5, 6], (2, 4))
     with pytest.raises(ParameterError):
         helper_aggregate(pl, 1, np.zeros(spec.ell, dtype=np.int64))
+    for bad in (np.zeros(spec.ell - 1, dtype=np.int64), np.zeros((2, spec.ell + 1), dtype=np.int64)):
+        with pytest.raises(ParameterError, match=f"column length {bad.shape[-1]} != ell"):
+            helper_aggregate(pl, 3, bad)
 
 
 def _unreduced(x, p):

@@ -214,6 +214,62 @@ def test_repair_rejects_a_damaged_helper_shard(fault, tmp_path):
         assert state.status(j) == "FAILED" and on_disk.status(j) == "FAILED"
 
 
+@pytest.mark.parametrize("fields", [{"magic": b"MSR2"}, {"version": 2}], ids=["magic", "version"])
+def test_read_shard_rejects_a_bad_magic_or_version(fields, tmp_path):
+    state = ingest(bytes(range(200)), c3_spec(), tmp_path / "c")
+    path = state.shard_path(3)
+    path.write_bytes(_repack_header(path.read_bytes(), **fields))
+    with pytest.raises(CorruptionError, match="node_03.shard: bad shard magic/version"):
+        storage.read_shard(path)
+
+
+def test_read_shard_names_a_missing_file(tmp_path):
+    with pytest.raises(CorruptionError, match="node_01.shard: shard file is missing"):
+        storage.read_shard(tmp_path / "node_01.shard")
+
+
+def _center_fault(monkeypatch, state, fault):
+    if fault == "ledger":   # the transcript claims one element more than was read
+        real = repair_mod.center_repair
+
+        def overcount(plan_, payloads):
+            restored, transcript = real(plan_, payloads)
+            transcript.total += 1
+            return restored, transcript
+
+        monkeypatch.setattr(repair_mod, "center_repair", overcount)
+    else:   # the center's log sees a shard file
+
+        class TouchingLog(storage.AccessLog):
+            def record(self, path, nbytes, category):
+                super().record(path, nbytes, category)
+                self.by_path[str(state.shard_path(3))] = 0
+
+        monkeypatch.setattr(storage, "AccessLog", TouchingLog)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("ledger", "download ledger mismatch"),
+    ("touch", "data center touched a shard file directly"),
+])
+def test_repair_checks_what_the_center_read(fault, message, tmp_path, monkeypatch):
+    state = ingest(bytes(range(200)), c3_spec(), tmp_path / "c")
+    fail_nodes(state, [1, 2])
+    _center_fault(monkeypatch, state, fault)
+    with pytest.raises(CorruptionError, match=message):
+        run_repair(state, [1, 2], [3, 4, 5, 6], (2, 4))
+    for j in (1, 2):
+        assert not state.shard_path(j).exists()
+        assert load_cluster(tmp_path / "c").status(j) == "FAILED"
+
+
+def test_extract_rejects_a_payload_digest_mismatch(tmp_path):
+    state = ingest(bytes(range(200)), c3_spec(), tmp_path / "c")
+    state.manifest["digest"] = hashlib.sha256(b"other").hexdigest()
+    with pytest.raises(CorruptionError, match="extracted payload digest mismatch"):
+        extract(state)
+
+
 def test_extract_names_a_corrupt_shard(tmp_path):
     state = ingest(bytes(range(200)), c3_spec(), tmp_path / "c")
     path = state.shard_path(1)

@@ -20,6 +20,7 @@ REMOVED = [
     (hamming, ("CosetPartition", "build_partition", "syndrome_of", "_to_int")),
     (mixedradix.CoordinateSystem, ("digit", "digits")),
     (repair, ("erasure_operator", "apply_operator")),
+    (constructions, ("erasure_operator",)),
 ]
 
 

@@ -158,24 +158,28 @@ def test_repair_solves_once_per_family(monkeypatch, name, failed, helpers, patte
 
 @pytest.mark.parametrize("name, failed, helpers, pattern", REPAIRS)
 def test_repair_builds_one_operator_per_base_plane(monkeypatch, name, failed, helpers, pattern):
-    # a group's operator depends only on its base plane, so a family asks
-    # erasure_operator for group_count / copies words, whatever the units
+    # a group's operator depends only on its base plane, so a family reads
+    # group_count / copies words' operators from its table, each applied
+    # to its U block copies, whatever the units (one block: one kernel call
+    # per word range)
     spec = build(*SPECS[name])
     columns = encode_blocks(spec, random_data(spec, np.random.default_rng(6), blocks=1))
     pl = plan(spec, failed, helpers, pattern)
     payloads = [helper_aggregate(pl, j, columns[:, j - 1]) for j in pl.helpers]
-    words, real_table, real_operator = [], repair.erasure_table, constructions.erasure_operator
+    words, real_table, real_kernel = [], repair.erasure_table, constructions.apply_operator
 
     def erasure_table(*args):
         words.append(0)   # one table per family
         return real_table(*args)
 
-    def erasure_operator(spec, table, slot_digits, known_digits):
-        words[-1] += len(known_digits[0])
-        return real_operator(spec, table, slot_digits, known_digits)
+    def apply_operator(p, table, rows, values, out):
+        fam = pl.families[len(words) - 1]
+        assert values[0].shape[1:] == (fam.copies, len(rows[0]))
+        words[-1] += len(rows[0])
+        return real_kernel(p, table, rows, values, out)
 
     monkeypatch.setattr(repair, "erasure_table", erasure_table)
-    monkeypatch.setattr(constructions, "erasure_operator", erasure_operator)
+    monkeypatch.setattr(constructions, "apply_operator", apply_operator)
     monkeypatch.setattr(grs, "WORKERS", 1)   # units run one at a time
     for budget in (grs.SLICE_BUDGET, 1, 3 * (len(helpers) + spec.r)):
         monkeypatch.setattr(grs, "SLICE_BUDGET", budget)
