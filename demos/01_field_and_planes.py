@@ -9,6 +9,7 @@ import numpy as np
 
 from msrcodes.constructions import build, encode, node_points, random_data
 from msrcodes.field import PrimeField
+from msrcodes.mixedradix import digit_table
 
 ## A field is just arithmetic mod a prime
 f = PrimeField(17)
@@ -24,10 +25,10 @@ rng = np.random.default_rng(7)
 cw = encode(spec, random_data(spec, rng))
 
 ## Check one plane by hand: its n symbols satisfy sum lambda^(t-1) c = 0
-pts = node_points(spec, range(1, spec.n + 1), np.arange(spec.coords.a_count))
+pts = node_points(spec, range(1, spec.n + 1), np.arange(spec.s_m**spec.n))
 tau = 5
-b, a = divmod(tau, spec.coords.a_count)
-digits = tuple(spec.coords.digit_table()[:, a].tolist())
+b, a = divmod(tau, spec.s_m**spec.n)
+digits = tuple(digit_table(spec.s_m, spec.n)[:, a].tolist())
 print(f"\nplane tau={tau} -> (a={a}, b={b}), digits of a: {digits}")
 for t in range(spec.r):
     acc = sum(pow(int(pts[j, a]), t, spec.field.p) * int(cw.columns[j, tau])

@@ -3,7 +3,7 @@
 Library layout:
 
   field          GF(p) arithmetic on ints and int64 arrays
-  mixedradix     CoordinateSystem: (a, b) coordinates, the only digit arithmetic
+  mixedradix     digit_table and shift_digits, the only digit arithmetic
   grs            GRS kernels that build erasure tables, and one that applies them
   hamming        Hamming-code syndromes that pick the Hadamard repair's base planes
   constructions  the code families (C1..C4, Hadamard): build, encode, reconstruct

@@ -35,10 +35,10 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from . import mixedradix
 from .errors import ParameterError
 from .field import PrimeField, next_prime
 from .grs import apply_operator, each, solve_vandermonde, syndrome_rhs, units
-from .mixedradix import CoordinateSystem
 
 LAMBDA_RULE = "row-consecutive-v1"  # lambda_{i,j} = (i-1)*s_m + j + 1
 
@@ -80,10 +80,6 @@ class CodeSpec:
     s: int
     ell: int
     field: PrimeField
-
-    @property
-    def coords(self) -> CoordinateSystem:
-        return CoordinateSystem(self.s_m, self.n)
 
     @property
     def lam(self) -> tuple:
@@ -185,7 +181,7 @@ def node_points(spec: CodeSpec, nodes: Sequence[int], a) -> np.ndarray:
     of any shape; shape (len(nodes),) + a.shape.  The codec reads digit-keyed
     erasure tables instead: this is the reference the tests and demo 01 use."""
     lam = spec.lam_array()
-    digits = spec.coords.digit_table(nodes)
+    digits = mixedradix.digit_table(spec.s_m, spec.n, nodes)
     a = np.asarray(a, dtype=np.int64)
     out = np.empty((len(nodes),) + a.shape, dtype=np.int64)
     for i, (j, row) in enumerate(zip(nodes, digits)):
@@ -207,7 +203,7 @@ def erasure_table(spec: CodeSpec, slot_nodes: Sequence[int], known_nodes: Sequen
     apply_operator reads with a 1-D take at index t*s_m + c."""
     s_m, lam, slot_nodes = spec.s_m, spec.lam_array(), list(slot_nodes)
     nodes = list(dict.fromkeys(slot_nodes))
-    digits = CoordinateSystem(s_m, len(nodes)).digit_table()
+    digits = mixedradix.digit_table(s_m, len(nodes))
     # np.roll(lam[j - 1], -v)[c] = lam[j - 1, (c + v) mod s_m]
     points = np.stack([np.roll(lam[j - 1], -slot_nodes[:u].count(j))[digits[nodes.index(j)]]
                        for u, j in enumerate(slot_nodes)], axis=1)
@@ -232,7 +228,7 @@ def apply_table(spec: CodeSpec, table: np.ndarray, slot_nodes: Sequence[int],
     inside the unit, so it obeys grs.each's rules: disjoint outputs and no
     traced names."""
     nodes = list(dict.fromkeys(slot_nodes))
-    digits, q = spec.coords.digit_table(nodes + list(known_nodes)), len(nodes)
+    digits, q = mixedradix.digit_table(spec.s_m, spec.n, nodes + list(known_nodes)), len(nodes)
     (e, m, _), (B, U, G) = table.shape, values[0].shape
 
     def unit(words, blocks):
@@ -276,7 +272,7 @@ def complete_columns(spec: CodeSpec, known_nodes: Sequence[int],
         out[:, j - 1] = known[:, i]
     kept = sorted(nodes)
     erased = [j for j in range(1, n + 1) if j not in nodes]
-    planes = out.reshape(-1, n, spec.s, spec.coords.a_count)
+    planes = out.reshape(-1, n, spec.s, spec.s_m**n)
     apply_table(spec, erasure_table(spec, erased, kept), erased, kept, None,
                 [planes[:, j - 1] for j in kept],
                 lambda b0, b1, g0, g1: nullcontext([planes[b0:b1, j - 1, :, g0:g1]
@@ -310,7 +306,7 @@ def verify_planes(spec: CodeSpec, columns: np.ndarray) -> bool:
     if cols.shape[1:] != (spec.n, spec.ell):
         raise ParameterError("column array shape mismatch")
     n, r, S = spec.n, spec.r, spec.s
-    planes = spec.field.residues(cols).reshape(-1, n, S, spec.coords.a_count)
+    planes = spec.field.residues(cols).reshape(-1, n, S, spec.s_m**n)
     # the checks as a one-row erasure table: table[t, j, c] = lam[j, c]^t, so
     # a plane's operator op[t, j] is (point of node j)^t
     table = np.stack([spec.field.pow(spec.lam_array(), t) for t in range(r)])

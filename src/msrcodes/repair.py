@@ -50,7 +50,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from . import audit
+from . import audit, mixedradix
 from .constructions import CodeSpec, Family, apply_table, erasure_table
 from .errors import ParameterError
 from .grs import each, mod_p, units
@@ -120,25 +120,25 @@ def _orbit_family(spec: CodeSpec, index: int, P: tuple, R: tuple,
 
         agg_tau[u*G + g, v] = b_table[u, v] * A + shift_P(a_base[g], v)
     """
-    coords, W = spec.coords, b_table.shape[1]
-    if len(P) * W + spec.n - len(P) - len(R) != spec.r:
+    s_m, n, W = spec.s_m, spec.n, b_table.shape[1]
+    if len(P) * W + n - len(P) - len(R) != spec.r:
         raise ParameterError("group shape incompatible with pattern (internal)")
     # slot-major: row v of the (W, G) buffer is slot v of every group, so
     # each agg_tau[:, v] is contiguous
-    shifted = [coords.shift_digits(a_base, P, v) for v in range(W)]
+    shifted = [mixedradix.shift_digits(s_m, n, a_base, P, v) for v in range(W)]
     slot_major = np.empty((W, b_table.shape[0] * len(a_base)), dtype=np.int64)
     for v, row in enumerate(slot_major):
-        np.add(b_table[:, v, None] * coords.a_count, shifted[v], out=row.reshape(-1, len(a_base)))
+        np.add(b_table[:, v, None] * s_m**n, shifted[v], out=row.reshape(-1, len(a_base)))
     # d + r distinct points per group: the lam entries are distinct, so this
     # holds iff each member's W digits differ within every group.  (Checked
     # after agg_tau is made: temporaries made before it raised c1 peak RSS.)
-    for row in coords.digit_table(P):
+    for row in mixedradix.digit_table(s_m, n, P):
         digits = [np.take(row, a) for a in shifted]
         if any(np.any(digits[v] == digits[w]) for w in range(W) for v in range(w)):
             raise ParameterError("repeated evaluation point in a repair group (internal)")
     agg_tau = slot_major.T
     return GroupFamily(index=index, members=P, width=W, agg_tau=agg_tau,
-                       others=tuple(j for j in range(1, spec.n + 1) if j not in P),
+                       others=tuple(j for j in range(1, n + 1) if j not in P),
                        copies=b_table.shape[0])
 
 
@@ -167,20 +167,19 @@ def plan(spec: CodeSpec, failed: Sequence[int], helpers: Sequence[int],
         raise ParameterError("failed set not partitionable (internal)")
     partition = tuple(H[i:i + info.delta] for i in range(0, h, info.delta))
 
-    coords = spec.coords
     if spec.family is Family.HADAMARD:
         # plane pairs {a, a + 1_{P_i}} with a|_M in the Hamming code V_0: the
         # bits y of a at M, one representative position (the maximum) per P_i,
         # have syndrome 0 (len(M) = h/(d-k) = 2^w - 1)
         M = tuple(max(P) for P in partition)
-        y = (1 << np.arange(len(M))) @ coords.digit_table(M)
+        y = (1 << np.arange(len(M))) @ mixedradix.digit_table(spec.s_m, spec.n, M)
         a_base = np.flatnonzero(syndromes(len(M))[y] == 0)
         b_tables = [np.zeros((1, 2), dtype=np.int64)] * len(partition)
         extras = {"M": M}
     elif info.pinned:
         # largest-s pattern of C1/C2: full s_m-orbits whose representative has
         # digit 0 at min(H), repeated in every block b
-        a_base = np.flatnonzero(coords.digit_table(H[:1])[0] == 0)
+        a_base = np.flatnonzero(mixedradix.digit_table(spec.s_m, spec.n, H[:1])[0] == 0)
         b_tables = [np.repeat(np.arange(spec.s)[:, None], spec.s_m, axis=1)]
         extras = {}
     else:
@@ -190,7 +189,7 @@ def plan(spec: CodeSpec, failed: Sequence[int], helpers: Sequence[int],
         u = spec.s // wi
         omega = {i: tuple(range(si - 1)) + (si - 2 + i,)
                  for i in range(1, len(partition) + 1)}
-        a_base = np.arange(coords.a_count, dtype=np.int64)
+        a_base = np.arange(spec.s_m**spec.n, dtype=np.int64)
         b_tables = [np.arange(u)[:, None] * wi + np.array(omega[i]) for i in omega]
         extras = {"omega": omega}
     fams = [_orbit_family(spec, i, P, R, a_base, b_tables[i - 1])

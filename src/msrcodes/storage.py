@@ -180,12 +180,12 @@ def _read_into(path: Path, buf: np.ndarray, digest: str, out: np.ndarray):
 
 
 def read_shard(path: Path, digest: Optional[str] = None) -> tuple:
-    """(node, element array); validates magic/version/prime.
-
-    When digest is given (the manifest's SHA-256 of the file) it is checked
-    first, so any damaged, truncated or misplaced shard is rejected by path.
-    The file is read once, into a buffer whose elements start 8-byte aligned,
-    and the elements come back as a writeable int64 view of it.
+    """(node, element array) of the shard file at path, read once into a
+    buffer whose elements start 8-byte aligned; the elements are a writeable
+    int64 view of it.  The digest, when given (the manifest's SHA-256 of the
+    file), is checked first, so any damaged, truncated or misplaced shard is
+    rejected by path; then the magic, the version and the length, and that
+    every element is below the header's own p.
     """
     try:
         size = os.stat(path).st_size
@@ -311,16 +311,16 @@ def run_repair(state: ClusterState, failed: Sequence[int], helpers: Sequence[int
     shard is checked against its pre-failure manifest digest in memory before
     any shard is written, so a mismatch leaves the failed nodes untouched.
     """
-    failed = sorted(int(j) for j in failed)
-    helpers = sorted(int(j) for j in helpers)
+    spec, B = state.spec, state.blocks
+    # the plan checks the node ids before any status is looked up by them
+    plan_ = repair_mod.plan(spec, failed, helpers, pattern)
+    failed, helpers = plan_.failed, plan_.helpers
     for j in failed:
         if state.status(j) != FAILED:
             raise ParameterError(f"node {j} is not failed")
     for j in helpers:
         if state.status(j) != ALIVE:
             raise ParameterError(f"helper {j} is not alive")
-    spec, B = state.spec, state.blocks
-    plan_ = repair_mod.plan(spec, failed, helpers, pattern)
 
     # helpers: verified whole-shard reads, WORKERS at a time into reused
     # buffers, logged as local I/O ("shard"); each wave's sums go to its

@@ -155,6 +155,18 @@ def test_repair_wrong_helpers_exits_1(tmp_path, capsys):
     assert code == 1 and "d=4" in err
 
 
+@pytest.mark.parametrize("nodes, helpers", [("0,2", "3,4,5,6"), ("1,2", "3,4,5,9")])
+def test_repair_of_an_unknown_node_exits_1(nodes, helpers, tmp_path, capsys):
+    cluster = tmp_path / "cl"
+    run(capsys, "encode", "--family", "c3", "--n", "6", "--k", "2",
+        "--h", "2", "--d", "4", "--cluster", str(cluster), "--blocks", "1")
+    run(capsys, "fail", "--cluster", str(cluster), "--nodes", "1,2")
+    code, out, err = run(capsys, "repair", "--cluster", str(cluster),
+                         "--nodes", nodes, "--helpers", helpers, "--h", "2", "--d", "4")
+    assert code == 1 and out == ""
+    assert err == "error: node index out of range\n"
+
+
 def test_repair_corrupted_helper_exits_2(tmp_path, capsys):
     cluster = tmp_path / "cl"
     run(capsys, "encode", "--family", "c3", "--n", "6", "--k", "2",
@@ -274,6 +286,24 @@ def test_repair_of_no_nodes_is_nothing_to_repair(tmp_path, capsys):
     assert code == 0 and out == "nothing to repair\n"
 
 
+def test_verify_mds_counts_a_failed_reconstruction(tmp_path, capsys, monkeypatch):
+    cluster = tmp_path / "cl"
+    run(capsys, "encode", "--family", "c1", "--n", "5", "--k", "2", "--d", "3,4",
+        "--cluster", str(cluster), "--blocks", "1")
+    real = cli.mds_reconstruct
+
+    def off_by_one(spec, nodes, columns):
+        cw = real(spec, nodes, columns)
+        cw.columns[0, 0] = (cw.columns[0, 0] + 1) % spec.field.p
+        return cw
+
+    monkeypatch.setattr(cli, "mds_reconstruct", off_by_one)
+    code, out, _ = run(capsys, "verify-mds", "--manifest", str(cluster / "manifest.json"),
+                       "--samples", "3", "--seed", "1", "--json")
+    info = json.loads(out)
+    assert code == 2 and info["failures"] == 3 and info["ok"] is False
+
+
 def test_verify_mds_rejects_fewer_than_one_sample(tmp_path, capsys):
     cluster = tmp_path / "cl"
     run(capsys, "encode", "--family", "c1", "--n", "5", "--k", "2", "--d", "3,4",
@@ -326,6 +356,17 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest", "--seed", "1")
     assert code == 0
     assert out.count("[PASS]") == 6 and "[FAIL]" not in out
+
+
+def test_selftest_reports_a_failing_check(capsys, monkeypatch):
+    def broken(field, x, values, count):
+        raise AssertionError("broken kernel")
+
+    monkeypatch.setattr(cli, "syndrome_rhs", broken)
+    code, out, _ = run(capsys, "selftest", "--seed", "1")
+    assert code == 2
+    assert "[FAIL] grs brute-force oracle: broken kernel" in out.splitlines()
+    assert out.count("[PASS]") == 5
 
 
 def test_env_seed_fallback(tmp_path, capsys, monkeypatch):

@@ -194,7 +194,7 @@ def test_every_plane_has_zero_syndromes():
     cw = encode(spec, random_data(spec, rng))
     lam, s_m = spec.lam_array(), spec.s_m
     for tau in range(spec.ell):
-        a = tau % spec.coords.a_count
+        a = tau % spec.s_m**spec.n
         for t in range(spec.r):
             acc = sum(pow(int(lam[j - 1, (a // s_m**(j - 1)) % s_m]), t, spec.field.p)
                       * int(cw.columns[j - 1, tau]) for j in range(1, 5))

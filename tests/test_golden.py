@@ -146,7 +146,7 @@ def _layout_digest(arrays) -> str:
 def _slot_points(spec, fam) -> np.ndarray:
     """(G, d+r) evaluation points in slot order: the members' width slots,
     then the nodes outside the member set, ascending."""
-    a = fam.agg_tau.T % spec.coords.a_count
+    a = fam.agg_tau.T % spec.s_m**spec.n
     members = node_points(spec, fam.members, a).reshape(-1, fam.group_count)
     return np.concatenate([members, node_points(spec, fam.others, a[0])]).T
 

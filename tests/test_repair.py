@@ -4,11 +4,10 @@ import sys
 import numpy as np
 import pytest
 
-from msrcodes import audit
+from msrcodes import audit, mixedradix
 from msrcodes.constructions import (build, complete_columns, encode, encode_blocks,
                                     mds_reconstruct, node_points, random_data, verify_planes)
 from msrcodes.errors import ParameterError
-from msrcodes.mixedradix import CoordinateSystem
 from msrcodes.repair import (HelperPayload, RepairPlan, _orbit_family, center_repair,
                              helper_aggregate, plan, repair_columns, repair_from_codeword)
 
@@ -99,7 +98,7 @@ def test_group_words_have_r_erasures_and_distinct_points(family, n, k, pats, H, 
     assert pl.per_helper == h * spec.ell // (d - k + h)
     for fam in pl.families:
         # slot order: the members' width slots, then the others ascending
-        a = fam.agg_tau.T % spec.coords.a_count
+        a = fam.agg_tau.T % spec.s_m**spec.n
         table = np.concatenate([node_points(spec, fam.members, a).reshape(-1, fam.group_count),
                                 node_points(spec, fam.others, a[0])]).T
         slots = [j for j in fam.members for _ in range(fam.width)] + list(fam.others)
@@ -380,7 +379,7 @@ def test_transcript_json_schema():
 def test_plan_rejects_a_group_that_repeats_a_member_digit(monkeypatch):
     # an orbit builder that ignores its shift puts the same plane, hence the
     # same member digits and evaluation points, in every slot of a group
-    monkeypatch.setattr(CoordinateSystem, "shift_digits", lambda self, a, positions, v: a)
+    monkeypatch.setattr(mixedradix, "shift_digits", lambda base, ndigits, a, positions, v: a)
     with pytest.raises(ParameterError, match="repeated evaluation point in a repair group"):
         plan(build("c3", 6, 2, [(2, 4)]), [1, 2], [3, 4, 5, 6], (2, 4))
 
@@ -432,22 +431,24 @@ def _digit_case_outputs():
 
 
 def test_no_per_symbol_path_divides_for_its_digits(monkeypatch):
-    # CoordinateSystem keeps one digit implementation, digit_table, which
-    # builds every a's digits without a division; apply_table (encode,
-    # decode, verify_planes and the center), erasure_table and the plan all
-    # read it, and agree with a floor-divide expansion put in its place
-    assert not any(hasattr(CoordinateSystem, name) for name in ("digit", "digits"))
+    # mixedradix keeps one digit implementation, digit_table, which builds
+    # every a's digits without a division; apply_table (encode, decode,
+    # verify_planes and the center), erasure_table and the plan all read it
+    # through the module, and agree with a floor-divide expansion put in its place
+    defined = {name for name, obj in vars(mixedradix).items()
+               if getattr(obj, "__module__", None) == mixedradix.__name__}
+    assert defined == {"digit_table", "shift_digits"}
     before = _digit_case_outputs()
     assert before[2] and not before[3]
     callers = set()
 
-    def divided(self, positions=None):
+    def divided(base, ndigits, positions=None):
         callers.add(sys._getframe(1).f_code.co_name)
-        positions = range(1, self.ndigits + 1) if positions is None else positions
-        a = np.arange(self.a_count)
-        return np.array([a // self.base ** (i - 1) % self.base for i in positions], dtype=np.uint8)
+        positions = range(1, ndigits + 1) if positions is None else positions
+        a = np.arange(base**ndigits)
+        return np.array([a // base ** (i - 1) % base for i in positions], dtype=np.uint8)
 
-    monkeypatch.setattr(CoordinateSystem, "digit_table", divided)
+    monkeypatch.setattr(mixedradix, "digit_table", divided)
     after = _digit_case_outputs()
     assert {"apply_table", "erasure_table", "plan", "_orbit_family"} <= callers
     assert len(after) == len(before)
@@ -474,7 +475,7 @@ def test_decoding_is_the_width_one_repair(name):
     beta, gamma = audit.cut_set(r, k, k, ell)
     for kept in itertools.combinations(range(1, n + 1), k):
         erased = tuple(j for j in range(1, n + 1) if j not in kept)
-        fam = _orbit_family(spec, 1, erased, kept, np.arange(spec.coords.a_count),
+        fam = _orbit_family(spec, 1, erased, kept, np.arange(spec.s_m**spec.n),
                             np.arange(spec.s)[:, None])
         pl = RepairPlan(spec=spec, pattern=(r, k), failed=erased, helpers=kept,
                         partition=(erased,), families=[fam], per_helper=fam.group_count,

@@ -376,11 +376,27 @@ def test_repair_empty_set_is_noop(tmp_path):
 
 def test_repair_validates_statuses(tmp_path):
     state = ingest(bytes(100), c3_spec(), tmp_path / "c")
-    with pytest.raises(ParameterError):
-        run_repair(state, [1, 2], [3, 4, 5, 6], (2, 4))  # nodes not failed
+    with pytest.raises(ParameterError, match="node 1 is not failed"):
+        run_repair(state, [1, 2], [3, 4, 5, 6], (2, 4))
     fail_nodes(state, [1, 2])
-    with pytest.raises(ParameterError):
-        run_repair(state, [1, 2], [2, 3, 4, 5], (2, 4))  # helper 2 not alive
+    with pytest.raises(ParameterError, match="failed and helper sets overlap"):
+        run_repair(state, [1, 2], [2, 3, 4, 5], (2, 4))
+    # ids the manifest does not hold are checked before any status lookup
+    for failed, helpers in (([0, 2], [3, 4, 5, 6]), ([1, 2], [3, 4, 5, 9])):
+        with pytest.raises(ParameterError, match="node index out of range"):
+            run_repair(state, failed, helpers, (2, 4))
+    fail_nodes(state, [3])
+    with pytest.raises(ParameterError, match="helper 3 is not alive"):
+        run_repair(state, [1, 2], [3, 4, 5, 6], (2, 4))
+
+
+def test_extract_with_fewer_than_k_alive_nodes_is_data_loss(tmp_path):
+    # fail_nodes refuses to fail more than r nodes, so set the statuses by hand
+    state = ingest(bytes(100), c3_spec(), tmp_path / "c")
+    for j in range(2, 7):
+        state.manifest["statuses"][str(j)] = storage.FAILED
+    with pytest.raises(DataLossError, match="only 1 alive nodes, need 2"):
+        extract(state)
 
 
 def test_c1_repair_same_shard_under_both_degrees(tmp_path):

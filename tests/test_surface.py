@@ -8,7 +8,6 @@ REMOVED = [
     (field, ("FieldElement",)),
     (field.PrimeField, ("element", "__contains__", "sub")),
     (mixedradix, ("Coordinate",)),
-    (mixedradix.CoordinateSystem, ("pack", "unpack", "ell")),
     (grs, ("systematic_extend",)),
     (grs, ("GrsWord", "ERASED", "erasure_decode", "syndromes")),
     (constructions, ("node_point_matrix",)),
@@ -18,7 +17,8 @@ REMOVED = [
     (storage, ("_shard_blob", "_elements")),
     (constructions, ("assign_lambda",)),
     (hamming, ("CosetPartition", "build_partition", "syndrome_of", "_to_int")),
-    (mixedradix.CoordinateSystem, ("digit", "digits")),
+    (mixedradix, ("CoordinateSystem",)),
+    (constructions.CodeSpec, ("coords",)),
     (repair, ("erasure_operator", "apply_operator")),
     (constructions, ("erasure_operator",)),
 ]
