@@ -168,7 +168,6 @@ def build(family, n: int, k: int, patterns,
 
 @dataclass
 class Codeword:
-    spec: CodeSpec
     columns: np.ndarray  # (n, ell) int64 residues
 
     def column(self, j: int) -> np.ndarray:
@@ -209,9 +208,9 @@ def erasure_table(spec: CodeSpec, slot_nodes: Sequence[int], known_nodes: Sequen
                        for u, j in enumerate(slot_nodes)], axis=1)
     cand = lam[np.asarray(known_nodes) - 1].ravel()
     rows, m, e = len(points), len(known_nodes), len(slot_nodes)
-    table = solve_vandermonde(spec.field, points, syndrome_rhs(
-        spec.field, np.broadcast_to(cand, (rows, cand.size)),
-        np.broadcast_to(np.eye(cand.size, dtype=np.int64), (rows, cand.size, cand.size)), e))
+    # -V_K does not depend on the row: one right-hand side serves them all
+    rhs = syndrome_rhs(spec.field, cand[None], np.eye(cand.size, dtype=np.int64)[None], e)
+    table = solve_vandermonde(spec.field, points, np.broadcast_to(rhs, (rows,) + rhs.shape[1:]))
     return np.ascontiguousarray(
         table.reshape(rows, e, m, s_m).transpose(1, 2, 0, 3)).reshape(e, m, -1)
 
@@ -260,10 +259,8 @@ def complete_columns(spec: CodeSpec, known_nodes: Sequence[int],
     if any(not 1 <= j <= n for j in nodes):
         raise ParameterError("node index out of range")
     known = np.asarray(known)
-    if known.ndim == 2:
-        known = known[None]
     if known.shape[1:] != (k, spec.ell):
-        raise ParameterError(f"expected data shape (k={k}, ell={spec.ell})")
+        raise ParameterError(f"expected data shape (B, k={k}, ell={spec.ell})")
 
     # reduced in known's own dtype: a u64 entry >= 2^63 is not read as negative
     known = spec.field.residues(known)
@@ -288,14 +285,14 @@ def encode_blocks(spec: CodeSpec, data: np.ndarray) -> np.ndarray:
 def encode(spec: CodeSpec, data) -> Codeword:
     """Systematic encode of one k x ell data matrix."""
     out = encode_blocks(spec, np.asarray(data)[None])
-    return Codeword(spec, out[0])
+    return Codeword(out[0])
 
 
 def mds_reconstruct(spec: CodeSpec, surviving_nodes: Sequence[int],
                     surviving_columns) -> Codeword:
     """Rebuild the full codeword from any k surviving columns."""
     out = complete_columns(spec, surviving_nodes, np.asarray(surviving_columns)[None])
-    return Codeword(spec, out[0])
+    return Codeword(out[0])
 
 
 def verify_planes(spec: CodeSpec, columns: np.ndarray) -> bool:
@@ -342,8 +339,6 @@ def manifest_dict(spec: CodeSpec, **extra) -> Dict:
         "prime": spec.field.p,
         "lambda_rule": LAMBDA_RULE,
         "ell": spec.ell,
-        "digest": None,
-        "padding": 0,
     }
     d.update(extra)
     return d

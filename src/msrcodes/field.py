@@ -69,9 +69,6 @@ class PrimeField:
     def mul(self, x, y):
         return (x * y) % self.p
 
-    def neg(self, x):
-        return (-x) % self.p
-
     def inv(self, x):
         """Multiplicative inverse via x^(p-2); raises on zero input."""
         if np.any(np.asarray(x) % self.p == 0):

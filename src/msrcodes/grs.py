@@ -5,9 +5,9 @@ r parity checks  sum_i x_i^(t-1) * c_i = 0  for t in [r].  Every plane of a
 code and every repair group is such a word.  Its e erased entries are
 x_E = C x_K (mod p) for the (e x m) erasure operator C = -V_E^-1 V_K of its
 points.  The two batched kernels build operators, not decode words:
-syndrome_rhs moves known entries to the right-hand side, and
-solve_vandermonde fills the erased ones, so on an identity right-hand side
-they give the columns of C (constructions.erasure_table lays them out).
+syndrome_rhs of an identity gives -V_K, once per erasure table since it is
+the same for every row, and solve_vandermonde of each row's erased points on
+it gives the columns of C (constructions.erasure_table lays them out).
 apply_operator reads each word's operator straight from such a table and
 applies it in place.  Every kernel loop cuts its words and blocks into
 units(), at most SLICE_BUDGET = 2^20 elements each (measured at the

@@ -29,12 +29,23 @@ def _repair(parent, change):
 
 
 def test_schedule_alternates_which_side_runs_first():
+    # workload-major: a workload's runs follow one another, after a warm-up
     order = list(abbench.schedule([1, 7], 2, ["a", "b"]))
-    assert order[:4] == [(1, 0, "a", "parent"), (1, 0, "a", "change"),
-                         (1, 0, "b", "parent"), (1, 0, "b", "change")]
-    assert order[4:8] == [(1, 1, "a", "change"), (1, 1, "a", "parent"),
-                          (1, 1, "b", "change"), (1, 1, "b", "parent")]
-    assert [s for s, *_ in order] == [1] * 8 + [7] * 8
+    assert order[:5] == [(1, None, "a", "parent"),
+                         (1, 0, "a", "parent"), (1, 0, "a", "change"),
+                         (1, 1, "a", "change"), (1, 1, "a", "parent")]
+    assert order[5:10] == [(1, None, "b", "parent"),
+                           (1, 0, "b", "parent"), (1, 0, "b", "change"),
+                           (1, 1, "b", "change"), (1, 1, "b", "parent")]
+    assert [s for s, *_ in order] == [1] * 10 + [7] * 10
+
+
+def test_warm_up_runs_count_in_no_summary():
+    runs = _runs([5.0] * 10, [8.0] * 10)
+    warmup = {"seed": 1, "pair": None, "workload": "w", "side": "parent",
+              "result": {"correct": False, "failed": 3,
+                         "metrics": {"repair_mibps": {"value": 100.0}}}}
+    assert abbench.summarize([warmup] + runs, E2E) == abbench.summarize(runs, E2E)
 
 
 def test_summary_medians_quartiles_and_pairs():

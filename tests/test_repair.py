@@ -1,11 +1,13 @@
 import itertools
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from msrcodes import audit, mixedradix
-from msrcodes.constructions import (build, complete_columns, encode, encode_blocks,
+from msrcodes import repair as repair_module
+from msrcodes.constructions import (CodeSpec, build, complete_columns, encode, encode_blocks,
                                     mds_reconstruct, node_points, random_data, verify_planes)
 from msrcodes.errors import ParameterError
 from msrcodes.repair import (HelperPayload, RepairPlan, _orbit_family, center_repair,
@@ -381,6 +383,32 @@ def test_plan_rejects_a_group_that_repeats_a_member_digit(monkeypatch):
     # same member digits and evaluation points, in every slot of a group
     monkeypatch.setattr(mixedradix, "shift_digits", lambda base, ndigits, a, positions, v: a)
     with pytest.raises(ParameterError, match="repeated evaluation point in a repair group"):
+        plan(build("c3", 6, 2, [(2, 4)]), [1, 2], [3, 4, 5, 6], (2, 4))
+
+
+def test_plan_rejects_a_download_off_the_cut_set_bound(monkeypatch):
+    # the north star's plan-time assertion: per_helper must equal beta
+    bound = audit.cut_set
+    monkeypatch.setattr(audit, "cut_set", lambda h, d, k, ell: (bound(h, d, k, ell)[0] + 1, 0))
+    with pytest.raises(ParameterError, match=r"downloads 64 per helper, cut-set bound is 65"):
+        plan(build("c3", 6, 2, [(2, 4)]), [1, 2], [3, 4, 5, 6], (2, 4))
+
+
+def test_plan_rejects_a_delta_that_does_not_divide_h(monkeypatch):
+    info = CodeSpec.pattern_info
+    monkeypatch.setattr(CodeSpec, "pattern_info",
+                        lambda spec, h, d: replace(info(spec, h, d), delta=h + 1))
+    with pytest.raises(ParameterError, match="failed set not partitionable"):
+        plan(build("c3", 6, 2, [(2, 4)]), [1, 2], [3, 4, 5, 6], (2, 4))
+
+
+def test_plan_rejects_a_group_shape_off_the_pattern(monkeypatch):
+    # one slot too many per member: the word would have more than r erasures
+    orbit = repair_module._orbit_family
+    monkeypatch.setattr(repair_module, "_orbit_family",
+                        lambda spec, i, P, R, a_base, b_table: orbit(
+                            spec, i, P, R, a_base, np.hstack([b_table, b_table[:, :1]])))
+    with pytest.raises(ParameterError, match="group shape incompatible with pattern"):
         plan(build("c3", 6, 2, [(2, 4)]), [1, 2], [3, 4, 5, 6], (2, 4))
 
 

@@ -6,7 +6,7 @@ REMOVED = [
     (storage, ("run_scenario",)),
     (errors, ("FieldMismatchError", "ScenarioError")),
     (field, ("FieldElement",)),
-    (field.PrimeField, ("element", "__contains__", "sub")),
+    (field.PrimeField, ("element", "__contains__", "sub", "neg")),
     (mixedradix, ("Coordinate",)),
     (grs, ("systematic_extend",)),
     (grs, ("GrsWord", "ERASED", "erasure_decode", "syndromes")),

@@ -2,7 +2,8 @@
 
 Slicing must not change a single output bit, wherever the slice boundaries
 fall, and it must keep the kernels' temporaries near grs.SLICE_BUDGET
-elements instead of growing with ell.
+elements instead of growing with ell.  The cluster ops' peaks stay within
+written formulas in shard bytes.
 """
 
 import itertools
@@ -11,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msrcodes import constructions, grs, repair
+from msrcodes import constructions, grs, repair, storage
 from msrcodes.constructions import (build, complete_columns, encode_blocks, mds_reconstruct,
                                     random_data, verify_planes)
 from msrcodes.repair import center_repair, helper_aggregate, plan
@@ -261,7 +262,7 @@ def test_units_split_a_1_mib_cluster_evenly_over_two_workers(monkeypatch):
 
 def test_encode_working_set_stays_near_the_slice_budget():
     spec = build("c1", 8, 4, [(1, 6), (1, 7)])  # ell = 196,608: a 12 MiB output
-    data = random_data(spec, np.random.default_rng(0))
+    data = random_data(spec, np.random.default_rng(0), blocks=1)
     tracemalloc.start()
     try:
         out = encode_blocks(spec, data)
@@ -334,3 +335,52 @@ def test_center_repair_reads_the_payloads_in_place(monkeypatch, pattern):
     # a (d, B, per_helper) copy of the payloads, 10.5-12 MiB, took the peak
     # 14-14.5 MiB above the output here; without it, 2.5-3.4 MiB
     assert peak - restored[1].nbytes <= sum(pay.values.nbytes for pay in payloads) // 2
+
+
+# ---------------------------------------------------------------------------
+# cluster ops: each peak is a written formula in shard bytes S
+# ---------------------------------------------------------------------------
+
+def _traced(fn):
+    """fn()'s result and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mib", [1, 4])
+def test_cluster_ops_stay_within_their_shard_budgets(monkeypatch, tmp_path, workers, mib):
+    monkeypatch.setattr(grs, "WORKERS", workers)
+    spec = build("c3", 6, 2, [(2, 4)], min_prime=257)
+    n, k, (h, d) = spec.n, spec.k, spec.patterns[0]
+    payload = np.random.default_rng(mib).integers(0, 256, mib << 20, dtype=np.uint8).tobytes()
+    peaks = {}
+    state, peaks["ingest"] = _traced(lambda: storage.ingest(payload, spec, tmp_path))
+    S = state.shard_path(1).stat().st_size
+    storage.fail_nodes(state, [1, 2])
+    _, peaks["run_repair"] = _traced(lambda: storage.run_repair(state, [1, 2], [3, 4, 5, 6], (h, d)))
+    _, peaks["extract"] = _traced(lambda: storage.extract(state))
+    storage.fail_nodes(state, [1])
+    _, peaks["extract, node 1 failed"] = _traced(lambda: storage.extract(state))
+
+    w, b = min(grs.WORKERS, d), h / (d - k + h)  # b = beta / ell
+    bounds = {
+        # the (B, k, ell) int64 data, the (B, n, ell) codeword, one shard file
+        "ingest": (k + n + 1) * S,
+        # w helper read buffers and one wave's sums, the d transfer files the
+        # center reads, the h restored columns and their h shard files
+        "run_repair": w * (1 + b) * S + d * b * S + 2 * h * S,
+        # k read buffers, all in one each() call, and the (B, k, ell) payload bytes
+        "extract": k * S + k * S / 8,
+        # the decoded codeword, a contiguous copy of its k systematic columns,
+        # their u8 cast and the payload bytes
+        "extract, node 1 failed": (n + k) * S + k * S / 4,
+    }
+    # kernel units' temporaries (the decode peaks 0.4 MiB over its formula at
+    # 1 MiB with two workers) and bookkeeping
+    slack = 1 << 20
+    for op, bound in bounds.items():
+        assert peaks[op] <= bound + slack, (op, peaks[op] / S, bound / S)

@@ -5,8 +5,10 @@
 
 The base revision is exported with `git archive` into a temporary directory.
 `perfbench/run.py --trace 0` runs unchanged there (side "parent") and in the
-working tree (side "change"), one run at a time. Pairs alternate which side
-runs first (ABBA), seed by seed, every workload in turn within a pair.
+working tree (side "change"), one run at a time, workload by workload: per
+seed and workload, one warm-up run of the parent, then the pairs, which
+alternate which side runs first (ABBA). So every counted run follows a run
+of its own workload. Warm-ups are kept in `runs` and left out of every summary.
 BENCH_<NAME>.json at the repository root gets every run and, per workload
 and end-to-end metric of BENCHMARK.json, both sides' medians, quartiles and
 ranges, the pairs the change won and a verdict (see `verdict`).
@@ -32,11 +34,13 @@ GAIN_SHARE = 0.9  # share of pairs the better side must win
 
 
 def schedule(seeds, pairs: int, workloads):
-    """(seed, pair, workload, side) in run order: seed-major; the parent runs
+    """(seed, pair, workload, side) in run order: per seed and workload, a
+    warm-up run of the parent (pair None), then the pairs; the parent runs
     first on even pairs and second on odd ones."""
     for seed in seeds:
-        for pair in range(pairs):
-            for workload in workloads:
+        for workload in workloads:
+            yield seed, None, workload, SIDES[0]
+            for pair in range(pairs):
                 for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
                     yield seed, pair, workload, side
 
@@ -111,7 +115,9 @@ def summarize(runs, end_to_end) -> dict:
     (end_to_end: BENCHMARK.json's list).  A pair's values count for a metric
     when both of its runs report one; every pair run counts toward a gain.
     No metric reads 'gain' when the change side has more failed ops, or more
-    runs without a result, than the parent ('gain_blocked')."""
+    runs without a result, than the parent ('gain_blocked').  Warm-up runs
+    (pair None) count nowhere."""
+    runs = [r for r in runs if r["pair"] is not None]
     by_key = {(r["seed"], r["pair"], r["workload"], r["side"]): r for r in runs}
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -209,8 +215,10 @@ def main(argv=None) -> int:
             machine = machine or next((ln[2:] for ln in stdout.splitlines()
                                        if ln.startswith("# machine:")), None)
             runs.append({"run": len(runs), "workload": workload, "seed": seed, "pair": pair,
-                         "side": side, "first": SIDES[pair % 2], **record})
-            print(f"[{len(runs)}] seed {seed} pair {pair} {workload} {side}: "
+                         "side": side, "warmup": pair is None,
+                         "first": None if pair is None else SIDES[pair % 2], **record})
+            print(f"[{len(runs)}] seed {seed} pair {'warm-up' if pair is None else pair} "
+                  f"{workload} {side}: "
                   f"rc={record['returncode']} {record['wall_s']} s "
                   f"repair_mibps={_value(record, 'repair_mibps')}", flush=True)
 
@@ -224,7 +232,8 @@ def main(argv=None) -> int:
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
                    "--trace 0, in a git-archive export of the parent and in the working tree",
         "machine": machine,
-        "order": "seed-major; per seed, pairs in turn; per pair every workload in turn, "
+        "order": "seed-major; per seed, workloads in turn; per workload one warm-up run "
+                 "of the parent ('warmup', pair null, in no summary), then pairs in turn, "
                  "parent then change on even pairs and change then parent on odd pairs; "
                  "'run' is the global run index",
         "seeds": seeds,
